@@ -6,15 +6,17 @@ Two top-level commands:
   experiment  enumeration and sampling runs, as CSV or JSON
 
 Outputs are byte-deterministic for identical flags and seeds.  Exit
-codes: 0 success, 2 bad input, 3 work budget exceeded, 4 internal
-invariant violation (a bound verdict came back false, which would
-contradict a proved inequality).
+codes: 0 success, 2 bad input (any TNomialError), 3 work budget
+exceeded, 4 internal error: a broken invariant (e.g. a bound verdict
+came back false, which would contradict a proved inequality) or any
+other unexpected exception.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
+import traceback
 
 from .errors import BudgetExceeded, InternalInvariantError, ParseError, TNomialError
 from .experiments import (
@@ -191,9 +193,13 @@ def main(argv=None) -> int:
     except InternalInvariantError as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
-    except (TNomialError, ValueError) as exc:
+    except TNomialError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
+    except Exception as exc:  # input errors are all TNomialError: this is a bug
+        traceback.print_exc()
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 def entry() -> None:

@@ -20,16 +20,17 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import NamedTuple
 
+import numpy as np
+
 from .errors import (
     BetaNotInSubgroup,
     InternalInvariantError,
     NotADivisor,
     TooFewTerms,
 )
-from .field import Element, FieldSpec, subgroup_elements
-from .numtheory import prime_divisors
+from .field import Element, FieldSpec
 from .params import compute_S, compute_delta
-from .poly import TNomial, count_roots_bruteforce, has_nonzero_root, normalize_lowest
+from .poly import TNomial, has_nonzero_root, log_tables, normalize_lowest, roots_on_units
 
 
 @dataclass(frozen=True)
@@ -70,36 +71,29 @@ def vanishes_on_coset(f: TNomial, k: int, beta: Element) -> bool:
 def find_vanishing_cosets(f: TNomial, k: int) -> list[CosetWitness]:
     """All cosets of the order-k subgroup on which f vanishes, ordered by
     the canonical integer label of beta."""
-    F = f.field
-    n = F.q - 1
+    n = f.field.q - 1
     if k < 1 or n % k != 0:
         raise NotADivisor(f"{k} does not divide the unit-group order {n}")
-    betas = [b for b in subgroup_elements(F, n // k) if vanishes_on_coset(f, k, b)]
-    if not betas:
-        return []
-    reps = _coset_representatives(F, k, betas)
-    betas.sort(key=F.element_to_int)
-    return [CosetWitness(k=k, beta=b, representative=reps[b]) for b in betas]
+    return _vanishing_cosets(f, roots_on_units(f), k)
 
 
-def _coset_representatives(field: FieldSpec, k: int, betas) -> dict:
-    """Smallest-power k-th root of each beta: one scan of g**0..g**(q-2).
-
-    g**(m*k) walks the image subgroup, so the first m hitting beta gives
-    the representative g**m."""
-    pending = set(betas)
-    out = {}
-    gk = field.pow(field.g, k)
-    xk = field.one
-    x = field.one
-    for _ in range(field.q - 1):
-        if xk in pending:
-            out[xk] = x
-            pending.discard(xk)
-            if not pending:
-                break
-        xk = field.mul(xk, gk)
-        x = field.mul(x, field.g)
+def _vanishing_cosets(f: TNomial, mask, k: int) -> list[CosetWitness]:
+    """Witnesses read off the root mask of f: with x = g**j, the cosets
+    are the classes s of j mod (q-1)/k, with representative g**s and
+    beta = g**(k*s).  The residue-class test confirms each witness; a
+    disagreement raises InternalInvariantError."""
+    F = f.field
+    n = F.q - 1
+    exp = log_tables(F).exp
+    classes = np.flatnonzero(mask.reshape(k, n // k).all(axis=0))
+    out = []
+    for s in classes[np.argsort(exp[k * classes % n])]:
+        beta = F.element_from_int(int(exp[k * s % n]))
+        if not vanishes_on_coset(f, k, beta):
+            raise InternalInvariantError(
+                f"root mask and residue-class test disagree on the coset x^{k} = {beta} of {f}"
+            )
+        out.append(CosetWitness(k=k, beta=beta, representative=F.element_from_int(int(exp[s]))))
     return out
 
 
@@ -109,18 +103,14 @@ def compute_C(f: TNomial) -> int:
 
     Only k in S(f) can carry a vanishing coset (a residue class with a
     single term has a lone nonzero summand), so the search runs over
-    S(f) from the top down.
+    S(f) from the top down, on one root mask.
     """
     fn = normalize_lowest(f)
-    F = fn.field
-    n = F.q - 1
-    if fn.t >= 2:
-        for k in sorted(compute_S(fn), reverse=True):
-            if k == 1:
-                break
-            if any(
-                vanishes_on_coset(fn, k, b) for b in subgroup_elements(F, n // k)
-            ):
+    sizes = sorted((k for k in compute_S(fn) if k > 1), reverse=True)
+    if sizes:
+        mask = roots_on_units(fn)
+        for k in sizes:
+            if _vanishing_cosets(fn, mask, k):
                 return k
     return 1 if has_nonzero_root(fn) else 0
 
@@ -136,40 +126,26 @@ def root_coset_decomposition(f: TNomial) -> CosetDecomposition:
 
     After normalizing the lowest exponent to 0, every exponent is a
     multiple of delta = gcd(exponents, q-1), so f factors through
-    x**delta and its root set is a union of full cosets of
-    H = {x : x**((q-1)/delta-th power...) } of size delta.  Returns
-    (delta, number of cosets, 2*((q-1)/delta)**(1-1/(t-1))).
+    x**delta and its root set is a union of full cosets of the order-delta
+    subgroup H = {x : x**delta = 1}.  Returns (delta, number of cosets,
+    2*((q-1)/delta)**(1-1/(t-1))).
 
-    The full-coset structure is verified on the way; a partial coset
-    would indicate a bug.
+    The roots are counted per coset on the root mask; a partial coset
+    would indicate a bug and raises InternalInvariantError.
     """
     if f.t < 2:
         raise TooFewTerms("decomposition needs t >= 2")
     fn = normalize_lowest(f)
-    F = fn.field
-    n = F.q - 1
+    n = fn.field.q - 1
     delta = compute_delta(fn)
-    groups: dict[int, int] = {}
-    # direct scan; group roots by the canonical label of x**delta
-    powers = [F.one] * fn.t
-    steps = [F.pow(F.g, a) for a, _ in fn.terms]
-    coeffs = [c for _, c in fn.terms]
-    xd = F.one
-    gd = F.pow(F.g, delta)
-    for _ in range(n):
-        acc = F.zero
-        for c, pw in zip(coeffs, powers):
-            acc = F.add(acc, F.mul(c, pw))
-        if acc == F.zero:
-            key = F.element_to_int(xd)
-            groups[key] = groups.get(key, 0) + 1
-        powers = [F.mul(pw, s) for pw, s in zip(powers, steps)]
-        xd = F.mul(xd, gd)
-    for key, cnt in groups.items():
-        if cnt != delta:
-            raise InternalInvariantError(
-                f"coset {key} contains {cnt} roots, expected the full {delta}"
-            )
+    # x**delta is constant exactly on the classes of j mod n/delta
+    counts = roots_on_units(fn).reshape(delta, n // delta).sum(axis=0)
+    partial = np.flatnonzero(counts % delta)
+    if len(partial):
+        s = int(partial[0])
+        raise InternalInvariantError(
+            f"coset of g^{s} contains {counts[s]} roots, expected the full {delta}"
+        )
     eps = 1.0 / (fn.t - 1)
     bound = 2.0 * (n // delta) ** (1.0 - eps)
-    return CosetDecomposition(delta=delta, coset_count=len(groups), bound=bound)
+    return CosetDecomposition(delta=delta, coset_count=int(np.count_nonzero(counts)), bound=bound)

@@ -28,7 +28,7 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations, product
-from math import comb, factorial
+from math import comb, factorial, isfinite
 from typing import Iterator, NamedTuple
 
 import numpy as np
@@ -39,11 +39,12 @@ from .errors import (
     InternalInvariantError,
     InvalidSampleCount,
     InvalidT,
+    PreconditionViolated,
 )
-from .cosets import compute_C, vanishes_on_coset
-from .field import FieldSpec, make_prime_field, subgroup_elements
+from .cosets import compute_C
+from .field import FieldSpec, make_prime_field
 from .numtheory import divisors, euler_phi, prime_divisors
-from .poly import TNomial, build
+from .poly import TNomial, build, log_tables, root_mask
 
 MODES = ("full", "scalar_reduced", "orbit_reduced")
 DEFAULT_WORK_BUDGET = 10**10
@@ -121,18 +122,6 @@ def _poly_from_column(field: FieldSpec, exps: tuple, col: int) -> TNomial:
     return build(field, zip(exps, coeffs))
 
 
-def _power_table(p: int, g: int, n: int) -> np.ndarray:
-    pw = np.empty(n, dtype=np.int64)
-    pw[0] = 1
-    h = 1
-    while h < n:
-        take = min(h, n - h)
-        gh = int(pw[h - 1]) * g % p
-        pw[h : h + take] = gh * pw[:take] % p
-        h *= 2
-    return pw
-
-
 def _root_count_vector(field: FieldSpec, exps: tuple) -> np.ndarray:
     """R(f) for every scalar-normalized coefficient column over the given
     exponent set, by incidence counting.
@@ -141,13 +130,13 @@ def _root_count_vector(field: FieldSpec, exps: tuple) -> np.ndarray:
     exactly one c_t with f(x) = 0, namely -(1 + sum c_i x**a_i) / x**a_t,
     admissible when nonzero.  One bincount accumulates all incidences.
     """
-    p, g = field.p, field.g
+    p = field.p
     n = p - 1
     t = len(exps)
     m = n ** (t - 1)
     if t == 1:
         return np.zeros(1, dtype=np.int64)
-    pw = _power_table(p, g, n)
+    pw = log_tables(field).exp
     j_idx = np.arange(n, dtype=np.int64)
     xa = {a: pw[(a * j_idx) % n] for a in exps[1:]}
     inv_xat = pw[(-exps[-1] * j_idx) % n]
@@ -189,7 +178,7 @@ def _coset_mask(field: FieldSpec, exps: tuple, cols=None) -> np.ndarray:
     One exact float64 matmul per (l, class), over all columns at once
     or over the subset given by cols.
     """
-    p, g = field.p, field.g
+    p = field.p
     n = p - 1
     t = len(exps)
     C = _coeff_matrix(p, t)
@@ -200,7 +189,7 @@ def _coset_mask(field: FieldSpec, exps: tuple, cols=None) -> np.ndarray:
     mask = np.zeros(m, dtype=bool)
     if not ells:
         return mask
-    pw = _power_table(p, g, n)
+    pw = log_tables(field).exp
     for ell in ells:
         s = n // ell
         v = np.arange(s, dtype=np.int64)
@@ -337,7 +326,9 @@ def conjecture_table(
     p: int, t: int, gamma: float = 0.5, budget: int = DEFAULT_WORK_BUDGET
 ) -> list[ExperimentRecord]:
     """Full weighted distribution of R over F(p, t) and its C <= 1 part,
-    one record per root count r that occurs."""
+    one record per root count r that occurs.  gamma must be finite."""
+    if not isfinite(gamma):
+        raise PreconditionViolated(f"gamma must be finite, got {gamma!r}")
     field = make_prime_field(p)
     _validate_t(p, t)
     work = estimate_enumeration_work(p, t)
@@ -384,6 +375,30 @@ def conjecture_table(
 # -- random sampling ----------------------------------------------------------
 
 
+def _validate_sampling(samples, seed) -> None:
+    if not isinstance(samples, int) or isinstance(samples, bool) or samples < 1:
+        raise InvalidSampleCount(f"samples must be a positive int, got {samples!r}")
+    if not isinstance(seed, int) or isinstance(seed, bool) or seed < 0:
+        raise PreconditionViolated(f"seed must be a non-negative int, got {seed!r}")
+
+
+def _blocks(samples: int, n: int) -> Iterator[int]:
+    """Sizes of sample blocks holding at most 2**23 coefficients each."""
+    block = max(1, min(samples, (1 << 23) // n))
+    for start in range(0, samples, block):
+        yield min(block, samples - start)
+
+
+def _nonzero_rows(rng, take: int, p: int, n: int) -> np.ndarray:
+    """take uniform coefficient rows over F_p; all-zero rows are redrawn."""
+    coefs = rng.integers(0, p, size=(take, n), dtype=np.int64)
+    while True:
+        dead = np.flatnonzero(~coefs.any(axis=1))
+        if len(dead) == 0:
+            return coefs
+        coefs[dead] = rng.integers(0, p, size=(len(dead), n), dtype=np.int64)
+
+
 class VanishingEstimate(NamedTuple):
     estimate: float
     bound: float
@@ -399,107 +414,77 @@ def sample_vanishing_proportion(
     1/q + sum of q**(1-l) over odd primes l | q-1.  All-zero coefficient
     draws are rejected and redrawn.
     """
-    if not isinstance(samples, int) or isinstance(samples, bool) or samples < 1:
-        raise InvalidSampleCount(f"samples must be a positive int, got {samples!r}")
+    _validate_sampling(samples, seed)
     q = field.q
     if q > SAMPLING_FIELD_LIMIT:
         raise FieldTooLarge(f"sampling ceiling is q <= {SAMPLING_FIELD_LIMIT}")
     ells = [ell for ell, _ in field.group_order_factors]
     bound = 1.0 / q + sum(float(q) ** (1 - ell) for ell in ells if ell > 2)
     rng = np.random.default_rng(seed)
-    if field.k == 1:
-        hits = _sample_vanishing_prime(field, samples, rng, ells)
-    else:
-        hits = _sample_vanishing_generic(field, samples, rng, ells)
+    sample = _sample_vanishing_prime if field.k == 1 else _sample_vanishing_generic
+    hits = sample(field, samples, rng, ells)
     return VanishingEstimate(estimate=hits / samples, bound=bound)
 
 
 def _sample_vanishing_prime(field, samples, rng, ells) -> int:
     p = field.p
     n = p - 1
-    pw = _power_table(p, field.g, n)
+    pw = log_tables(field).exp
     hits = 0
-    left = samples
-    block = max(1, min(samples, (1 << 23) // n))
-    while left > 0:
-        take = min(block, left)
-        coefs = rng.integers(0, p, size=(take, n), dtype=np.int64)
-        while True:
-            dead = np.flatnonzero(~coefs.any(axis=1))
-            if len(dead) == 0:
-                break
-            coefs[dead] = rng.integers(0, p, size=(len(dead), n), dtype=np.int64)
+    for take in _blocks(samples, n):
+        coefs = _nonzero_rows(rng, take, p, n)
         vanish = np.zeros(take, dtype=bool)
         for ell in ells:
             s = n // ell
-            v = np.arange(s, dtype=np.int64)
             u = np.arange(s, dtype=np.int64)
-            W = pw[(ell * v[:, None] * u[None, :]) % n].astype(np.float64)
+            W = pw[np.multiply.outer(u, ell * u) % n].astype(np.float64)
             cr = coefs.reshape(take, s, ell).astype(np.float64)
             # sums[i, r, v] = sum_u c[i, u*ell + r] * beta_v**u
             sums = np.tensordot(cr, W, axes=([1], [1]))
             sums = np.rint(sums).astype(np.int64) % p
             vanish |= (sums == 0).all(axis=1).any(axis=1)
         hits += int(np.count_nonzero(vanish))
-        left -= take
     return hits
 
 
 def _sample_vanishing_generic(field, samples, rng, ells) -> int:
-    q = field.q
-    n = q - 1
+    n = field.q - 1
+    log = log_tables(field).log
     hits = 0
-    for _ in range(samples):
-        while True:
-            labels = rng.integers(0, q, size=n)
-            if labels.any():
-                break
-        terms = [
-            (j, field.element_from_int(int(v))) for j, v in enumerate(labels) if v
-        ]
-        f = build(field, terms)
-        found = False
-        for ell in ells:
-            for beta in subgroup_elements(field, n // ell):
-                if vanishes_on_coset(f, ell, beta):
-                    found = True
+    for take in _blocks(samples, n):
+        labels = np.empty((take, n), dtype=np.int64)
+        for row in labels:
+            while True:
+                row[:] = rng.integers(0, field.q, size=n)
+                if row.any():
                     break
-            if found:
-                break
-        hits += found
+        # coefficient of x**j is the element with that label
+        mask = root_mask(field, range(n), log[labels])
+        vanish = np.zeros(take, dtype=bool)
+        for ell in ells:
+            vanish |= mask.reshape(take, ell, n // ell).all(axis=1).any(axis=1)
+        hits += int(np.count_nonzero(vanish))
     return hits
 
 
 def root_distribution_sample(p: int, samples: int, seed: int = 0) -> dict:
     """Histogram {r: occurrences} of R over uniformly random nonzero
     polynomials of degree < p-1 (prime field), by exact matmul batches."""
-    if not isinstance(samples, int) or isinstance(samples, bool) or samples < 1:
-        raise InvalidSampleCount(f"samples must be a positive int, got {samples!r}")
+    _validate_sampling(samples, seed)
     field = make_prime_field(p)
     if p > SAMPLING_FIELD_LIMIT:
         raise FieldTooLarge(f"sampling ceiling is p <= {SAMPLING_FIELD_LIMIT}")
     n = p - 1
-    pw = _power_table(p, field.g, n)
+    pw = log_tables(field).exp
     # Vf[j, i] = (g**j)**i; row j evaluates a coefficient vector at x = g**j
-    Vf = np.empty((n, n), dtype=np.float64)
-    cols = np.arange(n, dtype=np.int64)
-    for j in range(n):
-        Vf[j] = pw[(j * cols) % n]
+    j = np.arange(n, dtype=np.int64)
+    Vf = pw[np.multiply.outer(j, j) % n].astype(np.float64)
     rng = np.random.default_rng(seed)
     hist: Counter = Counter()
-    left = samples
-    block = max(1, min(samples, (1 << 23) // n))
-    while left > 0:
-        take = min(block, left)
-        coefs = rng.integers(0, p, size=(take, n), dtype=np.int64)
-        while True:
-            dead = np.flatnonzero(~coefs.any(axis=1))
-            if len(dead) == 0:
-                break
-            coefs[dead] = rng.integers(0, p, size=(len(dead), n), dtype=np.int64)
+    for take in _blocks(samples, n):
+        coefs = _nonzero_rows(rng, take, p, n)
         vals = np.rint(coefs.astype(np.float64) @ Vf.T).astype(np.int64) % p
         R = np.count_nonzero(vals == 0, axis=1)
         for r, c in zip(*np.unique(R, return_counts=True)):
             hist[int(r)] += int(c)
-        left -= take
     return dict(sorted(hist.items()))

@@ -22,6 +22,7 @@ from .errors import (
     InternalInvariantError,
     NotADivisor,
     NotPrime,
+    PreconditionViolated,
     ReducibleModulus,
 )
 from .numtheory import factorize, is_prime
@@ -194,7 +195,7 @@ def make_extension_field(p: int, k: int, modulus=None) -> FieldSpec:
     if p < 2 or not is_prime(p):
         raise NotPrime(f"{p} is not prime")
     if k < 2:
-        raise ValueError("extension degree must be >= 2; use make_prime_field for k=1")
+        raise PreconditionViolated("extension degree must be >= 2; use make_prime_field for k=1")
     q = p**k
     if q > EXTENSION_FIELD_LIMIT:
         raise FieldTooLarge(f"extension field size {q} exceeds {EXTENSION_FIELD_LIMIT}")

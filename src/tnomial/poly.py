@@ -9,18 +9,24 @@ zero function and has no canonical form; ZeroFunction is raised.
 
 Two independent root counters are provided: a direct scan over the unit
 group, and the degree of gcd(f, x**(q-1) - 1) computed by modular
-exponentiation.  They share no code beyond the field primitives.
+exponentiation.  They share no code beyond the field primitives.  The
+scan evaluates f at every unit x = g**j at once by Zech-logarithm table
+lookups (root_mask), the same way for every field; the root count, the
+vanishing cosets and the coset decomposition are read off its mask.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import (
     EmptyInput,
     FieldTooLarge,
+    InternalInvariantError,
     ParseError,
     ZeroCoefficient,
     ZeroFunction,
@@ -119,56 +125,97 @@ def evaluate(f: TNomial, x: Element) -> Element:
 
 
 def count_roots_bruteforce(f: TNomial) -> int:
-    """Number of distinct nonzero roots by direct evaluation at every unit.
+    """Number of distinct nonzero roots: the size of the root mask, which
+    evaluates f at every unit.  Raises FieldTooLarge when q-1 > 2**22."""
+    return int(np.count_nonzero(roots_on_units(f)))
 
-    Walks x = g**0, g**1, ... with one incremental multiplication per
-    term, so cost is O((q-1) * t) field operations; a vectorized path
-    covers prime fields.  Raises FieldTooLarge when q-1 > 2**22.
+
+# -- log-domain evaluation on the unit group ---------------------------------
+
+ZERO_LOG = -1  # the discrete log of the zero element, in tables and kernel input
+
+_TABLE_CHUNK = 1 << 13
+
+
+class LogTables(NamedTuple):
+    """int32 discrete-log tables of a field, elements given by their labels."""
+
+    exp: np.ndarray  # exp[j] = label of g**j, 0 <= j < q-1
+    log: np.ndarray  # log[label of g**j] = j, and log[0] = ZERO_LOG
+    zech: np.ndarray  # zech[j] = log(1 + g**j): Zech's logarithm
+
+
+@lru_cache(maxsize=16)
+def log_tables(field: FieldSpec) -> LogTables:
+    """The read-only exp, log and Zech tables of a field, built on first
+    use.  Raises FieldTooLarge when q-1 > 2**22.
+
+    exp doubles in blocks, g**(h+i) = g**h * g**i: multiplying by g**h is
+    F_p-linear on the base-p digits of a label, so one k x k matrix maps
+    the first h labels to the next h, exactly in float64 (k*p**2 < 2**53).
     """
-    F = f.field
-    n = F.q - 1
+    p, k, n = field.p, field.k, field.q - 1
     if n > BRUTE_FORCE_LIMIT:
         raise FieldTooLarge(f"unit group of order {n} exceeds scan limit {BRUTE_FORCE_LIMIT}")
-    if F.k == 1:
-        return _count_roots_scan_prime(f)
-    powers = [F.one] * f.t
-    steps = [F.pow(F.g, a) for a, _ in f.terms]
-    coeffs = [c for _, c in f.terms]
-    zero = F.zero
-    count = 0
-    for _ in range(n):
-        acc = zero
-        for c, pw in zip(coeffs, powers):
-            acc = F.add(acc, F.mul(c, pw))
-        if acc == zero:
-            count += 1
-        powers = [F.mul(pw, s) for pw, s in zip(powers, steps)]
-    return count
-
-
-def _power_table(p: int, g: int, n: int) -> np.ndarray:
-    """pw[j] = g**j mod p for j < n, built by block doubling."""
-    pw = np.empty(n, dtype=np.int64)
-    pw[0] = 1
+    place = p ** np.arange(k, dtype=np.int64)
+    exp = np.empty(n, dtype=np.int32)
+    exp[0] = 1
     h = 1
     while h < n:
+        gh = field.mul(field.element_from_int(int(exp[h - 1])), field.g)
+        # row i: the digits of gh times the basis element with label p**i
+        digit_map = np.array(
+            [field.mul(gh, field.element_from_int(int(b))) for b in place], dtype=np.float64
+        ).reshape(k, k)
         take = min(h, n - h)
-        gh = int(pw[h - 1]) * g % p
-        pw[h : h + take] = gh * pw[:take] % p
+        for s in range(0, take, _TABLE_CHUNK):
+            e = min(s + _TABLE_CHUNK, take)
+            digits = exp[s:e, None] // place % p
+            exp[h + s : h + e] = (digits @ digit_map).astype(np.int64) % p @ place
         h *= 2
-    return pw
+    log = np.full(field.q, ZERO_LOG, dtype=np.int32)
+    log[exp] = np.arange(n, dtype=np.int32)
+    if np.count_nonzero(log == ZERO_LOG) != 1:
+        raise InternalInvariantError(f"powers of the generator miss units of F_{field.q}")
+    # the label of 1 + x: add one to the constant (lowest base-p) digit
+    zech = log[exp - exp % p + (exp + 1) % p]
+    tables = LogTables(exp=exp, log=log, zech=zech)
+    for table in tables:
+        table.setflags(write=False)
+    return tables
 
 
-def _count_roots_scan_prime(f: TNomial) -> int:
-    F = f.field
-    p, g = F.p, F.g
-    n = p - 1
-    pw = _power_table(p, g, n)
+def root_mask(field: FieldSpec, exponents, coeff_logs) -> np.ndarray:
+    """Root mask of sum_i c_i x**a_i: entry j is True iff it is zero at g**j.
+
+    coeff_logs holds log c_i (ZERO_LOG for c_i = 0), shape (t,) for one
+    polynomial or (B, t) for a batch; the mask is (q-1,) or (B, q-1).
+    Term i at g**j has log (log c_i + a_i*j) mod q-1, and terms are added
+    by Zech's logarithm, log(X + Y) = log X + zech[log Y - log X].
+    """
+    n = field.q - 1
+    zech = log_tables(field).zech
+    logs = np.asarray(coeff_logs, dtype=np.int64)
     j = np.arange(n, dtype=np.int64)
-    acc = np.zeros(n, dtype=np.int64)
-    for a, c in f.terms:
-        acc = (acc + c * pw[(a * j) % n]) % p
-    return int(np.count_nonzero(acc == 0))
+    acc = np.full(logs.shape[:-1] + (n,), ZERO_LOG, dtype=np.int64)
+    for a, lc in zip(exponents, logs.T):
+        lc = lc[..., None]
+        term = np.where(lc == ZERO_LOG, ZERO_LOG, (lc + (a % n) * j) % n)
+        z = zech[(term - acc) % n]
+        total = (acc + z) % n
+        total[z == ZERO_LOG] = ZERO_LOG
+        # a zero summand leaves the other one
+        np.copyto(total, term, where=acc == ZERO_LOG)
+        np.copyto(total, acc, where=term == ZERO_LOG)
+        acc = total
+    return acc == ZERO_LOG
+
+
+def roots_on_units(f: TNomial) -> np.ndarray:
+    """root_mask of f; raises FieldTooLarge when q-1 > 2**22."""
+    F = f.field
+    log = log_tables(F).log
+    return root_mask(F, f.exponents, [log[F.element_to_int(c)] for c in f.coefficients])
 
 
 def count_roots_gcd(f: TNomial) -> int:
@@ -302,25 +349,8 @@ def _count_roots_gcd_generic(f: TNomial) -> int:
 
 
 def has_nonzero_root(f: TNomial) -> bool:
-    """True iff f vanishes somewhere on the unit group (early-exit scan)."""
-    F = f.field
-    n = F.q - 1
-    if n > BRUTE_FORCE_LIMIT:
-        raise FieldTooLarge(f"unit group of order {n} exceeds scan limit {BRUTE_FORCE_LIMIT}")
-    if F.k == 1:
-        return _count_roots_scan_prime(f) > 0
-    powers = [F.one] * f.t
-    steps = [F.pow(F.g, a) for a, _ in f.terms]
-    coeffs = [c for _, c in f.terms]
-    zero = F.zero
-    for _ in range(n):
-        acc = zero
-        for c, pw in zip(coeffs, powers):
-            acc = F.add(acc, F.mul(c, pw))
-        if acc == zero:
-            return True
-        powers = [F.mul(pw, s) for pw, s in zip(powers, steps)]
-    return False
+    """True iff f vanishes somewhere on the unit group (a full root mask)."""
+    return bool(roots_on_units(f).any())
 
 
 # -- text form ---------------------------------------------------------------

@@ -13,7 +13,6 @@ from .cosets import (
     find_vanishing_cosets,
     root_coset_decomposition,
 )
-from .errors import FieldTooLarge
 from .field import FieldSpec
 from .params import compute_params
 from .poly import (
@@ -34,11 +33,10 @@ GCD_GENERIC_LIMIT = 2**12
 
 
 def format_float(v: float) -> str:
+    """Shortest '.12g' form (12 significant digits); nan and inf raise ValueError."""
     if v != v or v in (float("inf"), float("-inf")):
         raise ValueError(f"non-finite float in report: {v}")
-    s = format(float(v), ".12g")
-    # normalize "1e+05" style away for plain magnitudes
-    return s
+    return format(float(v), ".12g")
 
 
 def render_json(obj, indent: int = 0) -> str:

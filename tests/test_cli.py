@@ -4,9 +4,11 @@ import sys
 
 import pytest
 
+import tnomial.cli as cli
 from tnomial.cli import (
     EXIT_BUDGET,
     EXIT_INPUT,
+    EXIT_INTERNAL,
     EXIT_OK,
     main,
 )
@@ -107,6 +109,46 @@ def test_field_beyond_ceiling(capsys):
     code, _, err = run_cli(capsys, "analyze", "--p", "2147483659", "x + 1")
     assert code == EXIT_INPUT
     assert "error" in err
+
+
+def test_extension_degree_below_two(capsys):
+    code, out, err = run_cli(capsys, "analyze", "--p", "3", "--k", "0", "x + 1")
+    assert code == EXIT_INPUT
+    assert out == ""
+    assert "degree" in err
+
+
+def test_non_finite_gamma(capsys):
+    for gamma in ("nan", "inf"):
+        code, out, err = run_cli(
+            capsys, "experiment", "conjecture", "--p", "7", "--t", "2", "--gamma", gamma
+        )
+        assert code == EXIT_INPUT
+        assert out == ""
+        assert "gamma" in err
+
+
+def test_negative_seed(capsys):
+    for command in ("sample-c2", "root-dist"):
+        code, _, err = run_cli(
+            capsys, "experiment", command, "--p", "7", "--samples", "10", "--seed", "-1"
+        )
+        assert code == EXIT_INPUT
+        assert "seed" in err
+
+
+def test_unexpected_exception_is_internal(capsys, monkeypatch):
+    """Only TNomialError means bad input; a plain ValueError from inside
+    the program is a bug and exits 4."""
+
+    def broken(f):
+        raise ValueError("index arithmetic went wrong")
+
+    monkeypatch.setattr(cli, "analyze", broken)
+    code, out, err = run_cli(capsys, "analyze", "--p", "7", "x^3 + 1")
+    assert code == EXIT_INTERNAL
+    assert out == ""
+    assert "internal error: ValueError: index arithmetic went wrong" in err
 
 
 def test_argparse_errors_map_to_input_code(capsys):

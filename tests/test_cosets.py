@@ -9,7 +9,12 @@ from tnomial.cosets import (
     root_coset_decomposition,
     vanishes_on_coset,
 )
-from tnomial.errors import BetaNotInSubgroup, NotADivisor, TooFewTerms
+from tnomial.errors import (
+    BetaNotInSubgroup,
+    InternalInvariantError,
+    NotADivisor,
+    TooFewTerms,
+)
 from tnomial.field import make_extension_field, make_prime_field, subgroup_elements
 from tnomial.params import compute_S
 from tnomial.poly import build, evaluate
@@ -82,22 +87,57 @@ def test_find_vanishing_cosets_frozen():
 
 
 def test_find_vanishing_cosets_witness_invariants():
+    """Mask-derived witnesses are exactly the betas of the residue-class
+    sweep over the subgroup, and each representative is the smallest
+    power of g in its coset."""
     rng = random.Random(17)
     from tnomial.numtheory import divisors
 
-    for q in [7, 13, 9]:
-        F = make_prime_field(q) if q != 9 else make_extension_field(3, 2)
-        n = q - 1
-        for _ in range(40):
+    fields = [
+        make_prime_field(7),
+        make_prime_field(13),
+        make_prime_field(31),
+        make_extension_field(3, 2),
+        make_extension_field(2, 4),
+        make_extension_field(5, 2, [3, 0, 1]),
+    ]
+    for F in fields:
+        n = F.q - 1
+        units = list(F.unit_powers())
+        for i in range(40):
             t = rng.randint(2, 4)
-            exps = rng.sample(range(n), t)
-            f = build(F, [(a, F.element_from_int(rng.randint(1, q - 1))) for a in exps])
+            if i % 4 == 0:
+                # f(x) = h(x^m) vanishes on whole cosets whenever h has roots
+                m = rng.choice([d for d in divisors(n) if d < n])
+                exps = [m * u for u in rng.sample(range(n // m), min(t, n // m))]
+            else:
+                exps = rng.sample(range(n), t)
+            f = build(F, [(a, F.element_from_int(rng.randint(1, n))) for a in exps])
             for k in divisors(n):
-                for w in find_vanishing_cosets(f, k):
+                wits = find_vanishing_cosets(f, k)
+                swept = [b for b in subgroup_elements(F, n // k) if vanishes_on_coset(f, k, b)]
+                assert [w.beta for w in wits] == sorted(swept, key=F.element_to_int)
+                for w in wits:
                     assert w.k == k
                     assert F.pow(w.beta, n // k) == F.one
                     assert F.pow(w.representative, k) == w.beta
                     assert evaluate(f, w.representative) == F.zero
+                    first = next(x for x in units if F.pow(x, k) == w.beta)
+                    assert w.representative == first
+
+
+def test_mask_witnesses_are_cross_checked(monkeypatch):
+    """A witness or a C > 1 coset the residue-class test rejects is an
+    internal error, not an answer."""
+    import tnomial.cosets as cosets
+
+    f = build(F13, [(0, 1), (4, 1), (8, 1)])  # vanishes on cosets of size 4
+    assert compute_C(f) == 4
+    monkeypatch.setattr(cosets, "vanishes_on_coset", lambda f, k, beta: False)
+    with pytest.raises(InternalInvariantError):
+        find_vanishing_cosets(f, 4)
+    with pytest.raises(InternalInvariantError):
+        compute_C(f)
 
 
 def test_compute_C_conventions():

@@ -11,6 +11,7 @@ from tnomial.errors import (
     FieldTooLarge,
     InvalidSampleCount,
     InvalidT,
+    PreconditionViolated,
 )
 from tnomial.experiments import (
     MODES,
@@ -258,6 +259,9 @@ def test_invalid_t_rejected():
         conjecture_table(5, 0)
     with pytest.raises(InvalidT):
         estimate_enumeration_work(5, 9)
+    for bad in (float("nan"), float("inf"), float("-inf")):
+        with pytest.raises(PreconditionViolated):
+            conjecture_table(5, 2, gamma=bad)
 
 
 # -- record search ------------------------------------------------------------
@@ -364,6 +368,9 @@ def test_vanishing_sampler_validation():
     for bad in (0, -3, True, 2.5):
         with pytest.raises(InvalidSampleCount):
             sample_vanishing_proportion(field, bad)
+    for bad in (-1, True, 1.5):
+        with pytest.raises(PreconditionViolated):
+            sample_vanishing_proportion(field, 10, seed=bad)
     with pytest.raises(FieldTooLarge):
         sample_vanishing_proportion(make_prime_field(4099), 10)
 
@@ -382,5 +389,7 @@ def test_root_distribution_sample_frozen_shape():
 def test_root_distribution_sample_validation():
     with pytest.raises(InvalidSampleCount):
         root_distribution_sample(7, 0)
+    with pytest.raises(PreconditionViolated):
+        root_distribution_sample(7, 10, seed=-1)
     with pytest.raises(FieldTooLarge):
         root_distribution_sample(4099, 10)

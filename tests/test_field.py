@@ -5,6 +5,7 @@ from tnomial.errors import (
     FieldTooLarge,
     NotADivisor,
     NotPrime,
+    PreconditionViolated,
     ReducibleModulus,
 )
 from tnomial.field import (
@@ -110,8 +111,9 @@ def test_extension_field_rejects_reducible():
         make_extension_field(3, 2, [1, 0, 0, 1])
     with pytest.raises(NotPrime):
         make_extension_field(4, 2)
-    with pytest.raises(ValueError):
-        make_extension_field(3, 1)
+    for k in (1, 0, -2):
+        with pytest.raises(PreconditionViolated):
+            make_extension_field(3, k)
     with pytest.raises(FieldTooLarge):
         make_extension_field(2, 21)
     assert 2**21 > EXTENSION_FIELD_LIMIT

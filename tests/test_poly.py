@@ -1,5 +1,6 @@
 import random
 
+import numpy as np
 import pytest
 
 from tnomial.errors import (
@@ -18,8 +19,11 @@ from tnomial.poly import (
     evaluate,
     format_tnomial,
     has_nonzero_root,
+    log_tables,
     normalize_lowest,
     parse_tnomial,
+    root_mask,
+    roots_on_units,
 )
 
 F7 = make_prime_field(7)
@@ -166,6 +170,74 @@ def test_has_nonzero_root():
     assert has_nonzero_root(build(F7, [(3, 1), (0, 1)]))
     assert not has_nonzero_root(build(F7, [(2, 1), (0, 1)]))
     assert not has_nonzero_root(build(F7, [(3, 4)]))
+
+
+# every prime up to 31, and each small extension field with its default
+# modulus and one other (x^2 + x + 1 is the only irreducible quadratic
+# over F_2, so F_4 has just the one)
+KERNEL_FIELDS = (
+    [make_prime_field(p) for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31)]
+    + [make_extension_field(p, k) for p, k in [(2, 2), (2, 3), (3, 2), (2, 4), (5, 2), (3, 3), (7, 2)]]
+    + [
+        make_extension_field(p, len(m) - 1, m)
+        for p, m in [
+            (2, (1, 0, 1, 1)),
+            (3, (2, 1, 1)),
+            (2, (1, 0, 0, 1, 1)),
+            (5, (3, 0, 1)),
+            (3, (2, 2, 0, 1)),
+            (7, (3, 1, 1)),
+        ]
+    ]
+)
+
+
+@pytest.mark.parametrize(
+    "field",
+    KERNEL_FIELDS,
+    ids=lambda F: f"q{F.q}" if F.k == 1 else f"q{F.q}-mod{''.join(map(str, F.modulus))}",
+)
+def test_root_mask_matches_evaluation(field):
+    """The log-domain root mask equals evaluate(f, x) == 0 at every unit,
+    for single polynomials with t = 1..6 and for a batch with zero
+    coefficients."""
+    rng = random.Random(field.q)
+    n = field.q - 1
+    units = list(field.unit_powers())
+    tables = log_tables(field)
+    assert tables.exp.tolist() == [field.element_to_int(x) for x in units]
+    for t in range(1, min(6, n) + 1):
+        for _ in range(4):
+            exps = rng.sample(range(n), t)
+            f = build(field, [(a, field.element_from_int(rng.randint(1, n))) for a in exps])
+            expected = [evaluate(f, x) == field.zero for x in units]
+            assert roots_on_units(f).tolist() == expected
+            assert count_roots_bruteforce(f) == sum(expected)
+            assert has_nonzero_root(f) == any(expected)
+    # dense rows over exponents 0..n-1, zero labels included; the last
+    # row is the zero polynomial, which vanishes everywhere
+    labels = np.array([[rng.randrange(field.q) for _ in range(n)] for _ in range(4)] + [[0] * n])
+    batch = root_mask(field, range(n), tables.log[labels])
+    assert batch.shape == (5, n)
+    for row, got in zip(labels, batch):
+        terms = [(a, field.element_from_int(int(c))) for a, c in enumerate(row) if c]
+        if terms:
+            f = build(field, terms)
+            assert got.tolist() == [evaluate(f, x) == field.zero for x in units]
+        else:
+            assert got.all()
+
+
+def test_log_tables_size_and_limit():
+    tables = log_tables(make_extension_field(2, 20))
+    assert all(t.dtype == np.int32 for t in tables)
+    assert sum(t.nbytes for t in tables) <= 12 * 2**20
+    assert not tables.exp.flags.writeable
+    big = build(make_prime_field(4194319), [(1, 1), (0, 1)])  # q-1 > 2**22
+    with pytest.raises(FieldTooLarge):
+        count_roots_bruteforce(big)
+    with pytest.raises(FieldTooLarge):
+        has_nonzero_root(big)
 
 
 def test_parse_basic():
