@@ -18,7 +18,13 @@ import argparse
 import sys
 import traceback
 
-from .errors import BudgetExceeded, InternalInvariantError, ParseError, TNomialError
+from .errors import (
+    BudgetExceeded,
+    InternalInvariantError,
+    ParseError,
+    TNomialError,
+    UnwritableOutput,
+)
 from .experiments import (
     DEFAULT_WORK_BUDGET,
     compute_max_R,
@@ -116,9 +122,13 @@ def _make_field(p: int, k: int, modulus_text) -> FieldSpec:
 def _emit(text: str, out) -> None:
     if out is None:
         sys.stdout.write(text)
-    else:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        return
+    try:
+        fh = open(out, "w", encoding="utf-8")
+    except OSError as exc:
+        raise UnwritableOutput(f"cannot write --out {out}: {exc.strerror}") from None
+    with fh:
+        fh.write(text)
 
 
 def cmd_analyze(args) -> int:

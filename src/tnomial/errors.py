@@ -75,5 +75,9 @@ class ParseError(TNomialError, ValueError):
     """A polynomial or modulus string does not match the input grammar."""
 
 
+class UnwritableOutput(TNomialError, ValueError):
+    """The output path given on the command line cannot be opened for writing."""
+
+
 class InternalInvariantError(TNomialError, RuntimeError):
     """An internally-verified identity failed; indicates a bug, not bad input."""

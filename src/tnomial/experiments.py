@@ -53,6 +53,15 @@ SAMPLING_FIELD_LIMIT = 4096
 _CHUNK = 1 << 20
 
 
+def _require_exact_float64(terms: int, p: int) -> None:
+    """A float64 sum of `terms` products of residues mod p is exact only
+    while it stays below 2**53; the matmul kernels check this first."""
+    if terms * (p - 1) ** 2 >= 2**53:
+        raise InternalInvariantError(
+            f"float64 sums of {terms} products mod {p} exceed 2**53 and would round"
+        )
+
+
 def _validate_t(p: int, t: int) -> None:
     if not 1 <= t <= p - 1:
         raise InvalidT(f"term count t={t} must lie in [1, {p - 1}] for p={p}")
@@ -181,6 +190,7 @@ def _coset_mask(field: FieldSpec, exps: tuple, cols=None) -> np.ndarray:
     p = field.p
     n = p - 1
     t = len(exps)
+    _require_exact_float64(t, p)
     C = _coeff_matrix(p, t)
     if cols is not None:
         C = C[:, cols]
@@ -326,7 +336,8 @@ def conjecture_table(
     p: int, t: int, gamma: float = 0.5, budget: int = DEFAULT_WORK_BUDGET
 ) -> list[ExperimentRecord]:
     """Full weighted distribution of R over F(p, t) and its C <= 1 part,
-    one record per root count r that occurs.  gamma must be finite."""
+    one record per root count r that occurs.  gamma must be finite, and
+    so must (1/r!)**gamma for every r that occurs."""
     if not isfinite(gamma):
         raise PreconditionViolated(f"gamma must be finite, got {gamma!r}")
     field = make_prime_field(p)
@@ -354,6 +365,13 @@ def conjecture_table(
         ca, c1 = int(counts_all[r]), int(counts_c1[r])
         if ca == 0 and c1 == 0:
             continue
+        base = 1.0 / factorial(r)  # only the power below depends on gamma
+        try:
+            rhs = base**gamma
+        except OverflowError:
+            raise PreconditionViolated(
+                f"(1/{r}!)**gamma is not a finite float for gamma = {gamma!r}"
+            ) from None
         records.append(
             ExperimentRecord(
                 p=p,
@@ -362,7 +380,7 @@ def conjecture_table(
                 count_all=ca,
                 count_c1=c1,
                 ratio=c1 / total_c1,
-                rhs=(1.0 / factorial(r)) ** gamma,
+                rhs=rhs,
                 gamma=gamma,
                 max_R=max_r,
                 total_all=total_all,
@@ -429,6 +447,7 @@ def sample_vanishing_proportion(
 def _sample_vanishing_prime(field, samples, rng, ells) -> int:
     p = field.p
     n = p - 1
+    _require_exact_float64(n, p)
     pw = log_tables(field).exp
     hits = 0
     for take in _blocks(samples, n):
@@ -475,6 +494,7 @@ def root_distribution_sample(p: int, samples: int, seed: int = 0) -> dict:
     if p > SAMPLING_FIELD_LIMIT:
         raise FieldTooLarge(f"sampling ceiling is p <= {SAMPLING_FIELD_LIMIT}")
     n = p - 1
+    _require_exact_float64(n, p)
     pw = log_tables(field).exp
     # Vf[j, i] = (g**j)**i; row j evaluates a coefficient vector at x = g**j
     j = np.arange(n, dtype=np.int64)

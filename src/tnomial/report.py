@@ -27,8 +27,9 @@ from .reduction import bound_from_C, bound_from_D, degree_reduce
 
 SCHEMA_VERSION = 1
 
-# dense generic-field gcd arithmetic is quadratic in q; cap it lower
-# than the prime-field path, which vectorizes
+# the extension-field Euclid of the gcd count is quadratic in q, with a
+# k x k digit matrix and a field inverse per step; cap it lower than the
+# prime-field path
 GCD_GENERIC_LIMIT = 2**12
 
 

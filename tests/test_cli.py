@@ -74,6 +74,16 @@ def test_analyze_out_file(tmp_path, capsys):
     assert rep["C"] == 3
 
 
+def test_out_path_that_cannot_be_opened(tmp_path, capsys):
+    for target in (tmp_path / "missing" / "x.json", tmp_path):
+        code, out, err = run_cli(
+            capsys, "analyze", "--p", "7", "--out", str(target), "x + 1"
+        )
+        assert code == EXIT_INPUT
+        assert out == ""
+        assert err.startswith("error: cannot write --out")
+
+
 # -- input errors -------------------------------------------------------------
 
 
@@ -119,7 +129,8 @@ def test_extension_degree_below_two(capsys):
 
 
 def test_non_finite_gamma(capsys):
-    for gamma in ("nan", "inf"):
+    # -2000 is finite, but (1/2!)**-2000 overflows a float
+    for gamma in ("nan", "inf", "-2000"):
         code, out, err = run_cli(
             capsys, "experiment", "conjecture", "--p", "7", "--t", "2", "--gamma", gamma
         )

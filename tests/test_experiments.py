@@ -5,10 +5,12 @@ from math import comb, factorial
 import numpy as np
 import pytest
 
+import tnomial.experiments as experiments
 from tnomial.cosets import compute_C
 from tnomial.errors import (
     BudgetExceeded,
     FieldTooLarge,
+    InternalInvariantError,
     InvalidSampleCount,
     InvalidT,
     PreconditionViolated,
@@ -28,6 +30,7 @@ from tnomial.experiments import (
     _decode_column,
     _orbit_reps,
     _root_count_vector,
+    _sample_vanishing_prime,
 )
 from tnomial.field import make_extension_field, make_prime_field
 from tnomial.poly import build, count_roots_bruteforce, format_tnomial
@@ -393,3 +396,16 @@ def test_root_distribution_sample_validation():
         root_distribution_sample(7, 10, seed=-1)
     with pytest.raises(FieldTooLarge):
         root_distribution_sample(4099, 10)
+
+
+def test_float64_kernels_refuse_inexact_fields(monkeypatch):
+    # (p-1)**2 alone is close to 2**62 here, so every float64 matmul kernel
+    # must raise before it builds anything
+    big = make_prime_field(2**31 - 1)
+    with pytest.raises(InternalInvariantError):
+        _coset_mask(big, (0, 1, 2))
+    with pytest.raises(InternalInvariantError):
+        _sample_vanishing_prime(big, 1, np.random.default_rng(0), [2])
+    monkeypatch.setattr(experiments, "SAMPLING_FIELD_LIMIT", 2**31)
+    with pytest.raises(InternalInvariantError):
+        root_distribution_sample(2**31 - 1, 1)

@@ -7,12 +7,15 @@ from tnomial.errors import (
     EmptyInput,
     FieldTooLarge,
     ParseError,
+    ReducibleModulus,
     ZeroCoefficient,
     ZeroFunction,
 )
 from tnomial.field import make_extension_field, make_prime_field
 from tnomial.poly import (
+    FFT_MIN_LENGTH,
     TNomial,
+    _convolve_mod_p,
     build,
     count_roots_bruteforce,
     count_roots_gcd,
@@ -121,9 +124,11 @@ def test_count_roots_binomial_closed_form():
 
 def test_count_roots_gcd_matches_bruteforce_random():
     rng = random.Random(5)
-    for p in [7, 13, 101, 257]:
+    # products up to p = 257 stay below FFT_MIN_LENGTH; at p = 2003 the
+    # long ones go through the limb FFT
+    for p, polys in [(7, 40), (13, 40), (101, 40), (257, 40), (2003, 12)]:
         F = make_prime_field(p)
-        for _ in range(40):
+        for _ in range(polys):
             t = rng.randint(1, 4)
             exps = rng.sample(range(p - 1), t)
             terms = [(a, rng.randint(1, p - 1)) for a in exps]
@@ -132,6 +137,41 @@ def test_count_roots_gcd_matches_bruteforce_random():
             except ZeroFunction:
                 continue
             assert count_roots_gcd(f) == count_roots_bruteforce(f), terms
+    # full degree q - 2 with every coefficient p - 1: the largest limb sums
+    F = make_prime_field(65521)
+    for mid in (1, rng.randrange(2, 65519)):
+        f = build(F, [(65519, -1), (mid, -1), (0, -1)])
+        assert count_roots_gcd(f) == count_roots_bruteforce(f), mid
+
+
+def test_convolve_mod_p_is_exact_at_the_largest_oracle_length():
+    # squaring a remainder of degree q - 3 mod 65521, the largest prime
+    # below GCD_LIMIT, is the longest product the oracle makes
+    p = 65521
+    a = np.full(p - 2, p - 1, dtype=np.int64)
+    expected = np.convolve(a, a) % p
+    assert len(expected) >= FFT_MIN_LENGTH
+    assert np.array_equal(_convolve_mod_p(a, a, p), expected)
+    assert np.array_equal(_convolve_mod_p(a, a.copy(), p), expected)
+    short = a[: FFT_MIN_LENGTH // 4]
+    assert np.array_equal(_convolve_mod_p(short, short, p), np.convolve(short, short) % p)
+
+
+def _with_second_modulus(p, k):
+    """F_{p^k} with its default modulus, and with the next irreducible one
+    in canonical order when there is one."""
+    default = make_extension_field(p, k)
+    fields = [default]
+    for n in range(p**k):
+        m = tuple(n // p**i % p for i in range(k)) + (1,)
+        if m == default.modulus:
+            continue
+        try:
+            fields.append(make_extension_field(p, k, m))
+            break
+        except ReducibleModulus:
+            pass
+    return fields
 
 
 def test_count_roots_gcd_extension():
@@ -141,6 +181,21 @@ def test_count_roots_gcd_extension():
     E8 = make_extension_field(2, 3)
     g = build(E8, [(3, 1), (1, 1), (0, 1)])
     assert count_roots_gcd(g) == count_roots_bruteforce(g) == 3
+    rng = random.Random(11)
+    # F_4 has one irreducible quadratic only; the exponent span is capped
+    # so the Euclid on F_{2^12} and F_{3^7} stays quick, and it still
+    # packs products past FFT_MIN_LENGTH
+    for p, k in [(2, 2), (2, 3), (3, 2), (5, 2), (3, 3), (7, 2), (2, 6), (3, 4), (2, 12), (3, 7)]:
+        for F in _with_second_modulus(p, k):
+            span = min(F.q - 1, 160)
+            for t in range(1, 9):
+                exps = rng.sample(range(span), min(t, span))
+                terms = [(a, F.element_from_int(rng.randrange(1, F.q))) for a in exps]
+                try:
+                    f = build(F, terms)
+                except ZeroFunction:
+                    continue
+                assert count_roots_gcd(f) == count_roots_bruteforce(f), (F.modulus, terms)
 
 
 def test_count_roots_gcd_edge_cases():
