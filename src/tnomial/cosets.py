@@ -30,7 +30,10 @@ from .errors import (
 )
 from .field import Element, FieldSpec
 from .params import compute_S, compute_delta
-from .poly import TNomial, has_nonzero_root, log_tables, normalize_lowest, roots_on_units
+from .poly import TNomial, log_tables, normalize_lowest, roots_on_units
+
+# unused here, but perfbench's tracer hooks it in this module's namespace
+from .poly import has_nonzero_root  # noqa: F401
 
 
 @dataclass(frozen=True)
@@ -106,13 +109,15 @@ def compute_C(f: TNomial) -> int:
     S(f) from the top down, on one root mask.
     """
     fn = normalize_lowest(f)
-    sizes = sorted((k for k in compute_S(fn) if k > 1), reverse=True)
-    if sizes:
-        mask = roots_on_units(fn)
-        for k in sizes:
-            if _vanishing_cosets(fn, mask, k):
-                return k
-    return 1 if has_nonzero_root(fn) else 0
+    return _C_from_mask(fn, roots_on_units(fn))
+
+
+def _C_from_mask(fn: TNomial, mask) -> int:
+    """C of the normalized fn, read off its root mask."""
+    for k in sorted((k for k in compute_S(fn) if k > 1), reverse=True):
+        if _vanishing_cosets(fn, mask, k):
+            return k
+    return 1 if mask.any() else 0
 
 
 class CosetDecomposition(NamedTuple):
@@ -136,10 +141,15 @@ def root_coset_decomposition(f: TNomial) -> CosetDecomposition:
     if f.t < 2:
         raise TooFewTerms("decomposition needs t >= 2")
     fn = normalize_lowest(f)
+    return _decomposition_from_mask(fn, roots_on_units(fn))
+
+
+def _decomposition_from_mask(fn: TNomial, mask) -> CosetDecomposition:
+    """The decomposition of the normalized fn (t >= 2), read off its root mask."""
     n = fn.field.q - 1
     delta = compute_delta(fn)
     # x**delta is constant exactly on the classes of j mod n/delta
-    counts = roots_on_units(fn).reshape(delta, n // delta).sum(axis=0)
+    counts = mask.reshape(delta, n // delta).sum(axis=0)
     partial = np.flatnonzero(counts % delta)
     if len(partial):
         s = int(partial[0])

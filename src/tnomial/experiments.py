@@ -228,6 +228,17 @@ def estimate_enumeration_work(p: int, t: int) -> int:
     return count_orbit_reps(n, t) * n ** (t - 1) * t
 
 
+def _check_budget(p: int, t: int, budget: int) -> None:
+    """BudgetExceeded when one enumeration of (p, t) would exceed budget
+    (so a budget of 0 refuses every enumeration); a negative budget is
+    bad input."""
+    work = estimate_enumeration_work(p, t)
+    if budget < 0:
+        raise PreconditionViolated(f"budget must be non-negative, got {budget}")
+    if work > budget:
+        raise BudgetExceeded(f"estimated work {work} exceeds budget {budget}")
+
+
 def enumerate_tnomials(p: int, t: int, mode: str = "full") -> Iterator[tuple]:
     """Yield (polynomial, weight) pairs covering the family F(p, t) of
     t-term polynomials with exponents below p-1 and nonzero coefficients.
@@ -270,10 +281,7 @@ def compute_max_R(p: int, t: int, budget: int = DEFAULT_WORK_BUDGET) -> MaxRResu
     C computation.
     """
     field = make_prime_field(p)
-    _validate_t(p, t)
-    work = estimate_enumeration_work(p, t)
-    if work > budget:
-        raise BudgetExceeded(f"estimated work {work} exceeds budget {budget}")
+    _check_budget(p, t, budget)
     n = p - 1
     best = -1
     best_at = None
@@ -341,10 +349,7 @@ def conjecture_table(
     if not isfinite(gamma):
         raise PreconditionViolated(f"gamma must be finite, got {gamma!r}")
     field = make_prime_field(p)
-    _validate_t(p, t)
-    work = estimate_enumeration_work(p, t)
-    if work > budget:
-        raise BudgetExceeded(f"estimated work {work} exceeds budget {budget}")
+    _check_budget(p, t, budget)
     n = p - 1
     counts_all = np.zeros(n + 1, dtype=np.int64)
     counts_c1 = np.zeros(n + 1, dtype=np.int64)

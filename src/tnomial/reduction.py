@@ -161,11 +161,16 @@ def degree_reduce(f: TNomial) -> ReductionCertificate:
     """
     if f.t < 2:
         raise TooFewTerms("degree reduction needs t >= 2")
-    F = f.field
-    N = F.q - 1
     fn = normalize_lowest(f)
+    return _degree_reduce(fn, compute_C(fn), count_roots_bruteforce(fn))
+
+
+def _degree_reduce(fn: TNomial, C: int, direct: int) -> ReductionCertificate:
+    """degree_reduce of the normalized fn (t >= 2), given C(fn) and R(fn)."""
+    F = fn.field
+    N = F.q - 1
     exps = fn.exponents[1:]  # nonzero exponents; lowest is 0
-    c_eff = max(compute_C(fn), 1)
+    c_eff = max(C, 1)
     delta_prime = gcd_all(exps, N)
     n = min(N // c_eff, N // delta_prime)
     if n < 2:
@@ -189,7 +194,6 @@ def degree_reduce(f: TNomial) -> ReductionCertificate:
                 f"reduced polynomial {i} degenerated: {exc}"
             ) from exc
     accounting = tuple(count_roots_bruteforce(h) for h in reduced)
-    direct = count_roots_bruteforce(fn)
     if sum(accounting) != k * direct:
         raise InternalInvariantError(
             f"root accounting failed: sum {sum(accounting)} != {k} * {direct}"
@@ -224,10 +228,15 @@ def bound_from_C(f: TNomial) -> CosetBound:
     """
     if f.t < 2:
         raise TooFewTerms("bounds need t >= 2")
+    return _bound_from_C(f, compute_C(f))
+
+
+def _bound_from_C(f: TNomial, C: int) -> CosetBound:
+    """bound_from_C of f (t >= 2), given C(f)."""
     N = f.field.q - 1
     t = f.t
     eps = 1.0 / (t - 1)
-    c_eff = max(compute_C(f), 1)
+    c_eff = max(C, 1)
     bound_c = 2.0 * N ** (1.0 - eps) * c_eff**eps
     delta = compute_delta(normalize_lowest(f))
     if c_eff ** (t - 1) < delta ** (t - 2) * N:

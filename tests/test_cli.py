@@ -191,6 +191,20 @@ def test_max_r_budget_exceeded(capsys):
     assert "budget" in err
 
 
+def test_negative_budget_is_bad_input(capsys):
+    for command in ("max-r", "conjecture"):
+        code, out, err = run_cli(
+            capsys, "experiment", command, "--p", "7", "--t", "2", "--budget", "-1"
+        )
+        assert code == EXIT_INPUT
+        assert out == ""
+        assert "non-negative" in err
+    code, _, _ = run_cli(
+        capsys, "experiment", "max-r", "--p", "7", "--t", "2", "--budget", "0"
+    )
+    assert code == EXIT_BUDGET
+
+
 def test_conjecture_table_totals(capsys):
     code, out, err = run_cli(
         capsys, "experiment", "conjecture", "--p", "13", "--t", "3"

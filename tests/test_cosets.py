@@ -1,4 +1,5 @@
 import random
+from math import gcd
 
 import pytest
 
@@ -18,6 +19,7 @@ from tnomial.errors import (
 from tnomial.field import make_extension_field, make_prime_field, subgroup_elements
 from tnomial.params import compute_S
 from tnomial.poly import build, evaluate
+from tnomial.report import analyze
 
 F7 = make_prime_field(7)
 F13 = make_prime_field(13)
@@ -172,18 +174,46 @@ def test_compute_C_only_sizes_in_S():
                 assert c in compute_S(f)
 
 
+def _report_invariants(f):
+    rep = analyze(f)
+    return (rep["roots"], rep["C"], rep["params"]["S"], rep["decomposition"]["coset_count"])
+
+
 def test_compute_C_invariant_under_scaling_and_translation():
+    """R, C, S and the coset count of the analyze report, and compute_C,
+    are unchanged by translation a -> a + s, a unit multiplier a -> u*a
+    mod q-1, scaling x -> lam*x (with a constant factor mu), and on
+    F_{p^k} the Frobenius c -> c**p: each maps roots, and vanishing
+    cosets of each size, one-to-one onto those of the image."""
     rng = random.Random(29)
-    F = make_prime_field(13)
-    for _ in range(40):
-        t = rng.randint(2, 4)
-        exps = rng.sample(range(12), t)
-        coeffs = [rng.randint(1, 12) for _ in exps]
-        f = build(F, list(zip(exps, coeffs)))
-        s = rng.randint(1, 12)
-        shift = rng.randint(0, 11)
-        g = build(F, [((a + shift) % 12, (c * s) % 13) for a, c in zip(exps, coeffs)])
-        assert compute_C(f) == compute_C(g)
+    fields = [make_prime_field(p) for p in (13, 31, 61)] + [
+        make_extension_field(2, 4),
+        make_extension_field(3, 3),
+        make_extension_field(5, 2),
+    ]
+    seen_C = set()
+    for F in fields:
+        n = F.q - 1
+        units = [u for u in range(1, n) if gcd(u, n) == 1]
+        for _ in range(12):
+            exps = rng.sample(range(n), rng.randint(2, 4))
+            coeffs = [F.element_from_int(rng.randint(1, n)) for _ in exps]
+            s, u = rng.randrange(n), rng.choice(units)
+            lam, mu = (F.element_from_int(rng.randint(1, n)) for _ in range(2))
+            images = [
+                [((a + s) % n, c) for a, c in zip(exps, coeffs)],
+                [(u * a % n, c) for a, c in zip(exps, coeffs)],
+                [(a, F.mul(mu, F.mul(c, F.pow(lam, a)))) for a, c in zip(exps, coeffs)],
+            ]
+            if F.k > 1:
+                images.append([(a, F.pow(c, F.p)) for a, c in zip(exps, coeffs)])
+            want = _report_invariants(build(F, zip(exps, coeffs)))
+            seen_C.add(want[1])
+            for terms in images:
+                g = build(F, terms)
+                assert _report_invariants(g) == want, (F.q, exps, terms)
+                assert compute_C(g) == want[1]
+    assert {0, 1} < seen_C and max(seen_C) > 2
 
 
 def test_decomposition_frozen():

@@ -1,11 +1,13 @@
 import json
 import math
+import random
 
 import pytest
 
+from tnomial import poly
 from tnomial.experiments import compute_max_R, conjecture_table
 from tnomial.field import make_extension_field, make_prime_field
-from tnomial.poly import parse_tnomial
+from tnomial.poly import build, parse_tnomial
 from tnomial.report import (
     SCHEMA_VERSION,
     analyze,
@@ -165,6 +167,33 @@ def test_analyze_beyond_scan_limit_reports_nothing_numeric():
     assert rep["verdicts"] == {}
     # parameters only need exponent arithmetic, so they survive
     assert rep["params"]["delta"] == 2  # gcd(2, q-1) with q-1 even
+
+
+def test_analyze_builds_one_root_mask_per_report(monkeypatch):
+    """One mask for f, one per reduced polynomial, none past the scan limit."""
+    calls = []
+    real = poly.root_mask
+    monkeypatch.setattr(poly, "root_mask", lambda *a: calls.append(1) or real(*a))
+
+    def scans(f):
+        calls.clear()
+        rep = analyze(f)
+        return len(calls), rep
+
+    count, rep = scans(parse_tnomial(make_prime_field(13), "1 + x^4 + x^8"))
+    assert rep["C"] == 4
+    assert count == 1 + rep["reduction"]["k"]
+    rng = random.Random(5)
+    E = make_extension_field(2, 6)
+    for _ in range(5):
+        exps = rng.sample(range(E.q - 1), rng.randint(2, 5))
+        f = build(E, [(a, E.element_from_int(rng.randint(1, E.q - 1))) for a in exps])
+        count, rep = scans(f)
+        assert count == 1 + rep["reduction"]["k"]
+    count, rep = scans(parse_tnomial(F7, "3*x^4"))
+    assert (count, rep["reduction"]) == (1, None)
+    count, rep = scans(parse_tnomial(make_prime_field(4194319), "x^2 + 1"))
+    assert (count, rep["C"]) == (0, None)
 
 
 def test_report_verdict_failures():
