@@ -59,10 +59,15 @@ CASES = [
     ("maxr_p13_t2", ["experiment", "max-r", "--p", "13", "--t", "2"]),
     ("maxr_p31_t3", ["experiment", "max-r", "--p", "31", "--t", "3"]),
     ("maxr_p11_t4", ["experiment", "max-r", "--p", "11", "--t", "4"]),
+    ("maxr_p61_t3", ["experiment", "max-r", "--p", "61", "--t", "3"]),
+    ("maxr_p101_t3", ["experiment", "max-r", "--p", "101", "--t", "3"]),
+    ("maxr_p17_t4", ["experiment", "max-r", "--p", "17", "--t", "4"]),
     ("conjecture_p7_t2", ["experiment", "conjecture", "--p", "7", "--t", "2"]),
     ("conjecture_p13_t3", ["experiment", "conjecture", "--p", "13", "--t", "3"]),
     ("conjecture_p11_t4_gamma", ["experiment", "conjecture", "--p", "11", "--t", "4", "--gamma", "0.75"]),
     ("conjecture_p7_t5", ["experiment", "conjecture", "--p", "7", "--t", "5"]),
+    ("conjecture_p31_t4", ["experiment", "conjecture", "--p", "31", "--t", "4"]),
+    ("conjecture_p17_t5", ["experiment", "conjecture", "--p", "17", "--t", "5"]),
     ("samplec2_p13", ["experiment", "sample-c2", "--p", "13", "--samples", "2000", "--seed", "3"]),
     ("samplec2_p257", ["experiment", "sample-c2", "--p", "257", "--samples", "500", "--seed", "1"]),
     ("samplec2_f8_modulus", ["experiment", "sample-c2", "--p", "2", "--k", "3", "--modulus", "1,0,1,1", "--samples", "500", "--seed", "4"]),
