@@ -14,6 +14,7 @@ prime fields up to 2**31 and extension fields up to 2**20 elements.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import zip_longest
 from typing import Iterator, Union
 
 from .errors import (
@@ -91,8 +92,18 @@ class FieldSpec:
             raise DivisionByZero("inverse of zero")
         if self.k == 1:
             return pow(a, -1, self.p)
-        # a**(q-2) avoids extended Euclid on polynomials
-        return self.pow(a, self.q - 2)
+        # extended Euclid in F_p[y], tracking only the cofactor of a
+        p = self.p
+        r0, r1 = list(self.modulus), _poly_trim(list(a))
+        s0, s1 = [], [1]
+        while len(r1) > 1:
+            quo, rem = _poly_divmod(r0, r1, p)
+            prod = _poly_mul(quo, s1, p)
+            r0, r1 = r1, rem
+            s0, s1 = s1, [(x - y) % p for x, y in zip_longest(s0, prod, fillvalue=0)]
+        scale = pow(r1[0], -1, p)
+        out = [x * scale % p for x in s1] + [0] * self.k
+        return tuple(out[: self.k])
 
     def pow(self, a: Element, e: int) -> Element:
         """a**e with e any integer; negative e inverts first."""
@@ -251,7 +262,7 @@ def subgroup_elements(field: FieldSpec, d: int) -> list:
     return out
 
 
-# -- dense polynomial helpers over F_p (modulus validation only) -----------
+# -- dense polynomial helpers over F_p (modulus validation, inverses) -----
 
 
 def _poly_trim(a: list) -> list:
@@ -260,27 +271,39 @@ def _poly_trim(a: list) -> list:
     return a
 
 
-def _poly_rem(a: list, b: list, p: int) -> list:
-    """Remainder of a mod b over F_p; b need not be monic.  Trimmed."""
+def _poly_divmod(a: list, b: list, p: int) -> tuple:
+    """(quotient, remainder) of a by b over F_p; b need not be monic.
+    The remainder is trimmed."""
     a = [c % p for c in a]
     db = len(b) - 1
     inv_lead = pow(b[-1], -1, p)
+    quo = [0] * max(0, len(a) - db)
     for i in range(len(a) - 1, db - 1, -1):
         c = a[i]
         if c:
             f = c * inv_lead % p
+            quo[i - db] = f
             for j in range(db + 1):
                 a[i - db + j] = (a[i - db + j] - f * b[j]) % p
-    return _poly_trim(a[:db])
+    return quo, _poly_trim(a[:db])
 
 
-def _poly_mulmod(a: list, b: list, m: list, p: int) -> list:
+def _poly_rem(a: list, b: list, p: int) -> list:
+    """Remainder of a mod b over F_p; b need not be monic.  Trimmed."""
+    return _poly_divmod(a, b, p)[1]
+
+
+def _poly_mul(a: list, b: list, p: int) -> list:
     out = [0] * (len(a) + len(b) - 1)
     for i, x in enumerate(a):
         if x:
             for j, y in enumerate(b):
                 out[i + j] = (out[i + j] + x * y) % p
-    return _poly_rem(out, m, p)
+    return out
+
+
+def _poly_mulmod(a: list, b: list, m: list, p: int) -> list:
+    return _poly_rem(_poly_mul(a, b, p), m, p)
 
 
 def _poly_powmod(base: list, e: int, m: list, p: int) -> list:

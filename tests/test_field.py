@@ -77,6 +77,16 @@ def test_inv_of_zero():
     E = make_extension_field(3, 2)
     with pytest.raises(DivisionByZero):
         E.inv((0, 0))
+    with pytest.raises(DivisionByZero):
+        make_extension_field(7, 3).inv((0, 0, 0))
+
+
+def test_extension_inverse_of_every_unit():
+    for p, k in [(2, 2), (2, 3), (3, 2), (2, 8), (3, 5), (7, 3)]:
+        F = make_extension_field(p, k)
+        for n in range(1, F.q):
+            a = F.element_from_int(n)
+            assert F.mul(F.inv(a), a) == F.one, (p, k, a)
 
 
 def test_extension_field_f9():
