@@ -21,7 +21,7 @@ from tnomial.numtheory import is_prime
 
 print("== max R over the C <= 1 subfamily, t = 3 ==")
 print(f"{'p':>4} {'R_max':>6} {'1.8 ln p':>9}  witness")
-for p in range(5, 62):
+for p in range(5, 200):
     if not is_prime(p):
         continue
     res = compute_max_R(p, 3)

@@ -16,6 +16,19 @@ Three enumeration granularities produce identical weighted counts:
                  mod p-1 (multiplying f by a power of x permutes no
                  roots); weight (p-1) * orbit size
 
+The drivers `compute_max_R` and `conjecture_table` go one step further
+and run their kernels once per orbit of the affine group a -> u*a + s
+mod p-1, gcd(u, p-1) = 1.  The monomial change of variables x -> x**u
+permutes the units and maps every coset to a coset of the same size, so
+R and C are invariant; on each exponent set it permutes the coefficient
+columns (with the lowest coefficient renormalized to 1), so histograms
+and maxima carry over with the orbit size as weight.  The representative
+of each affine orbit is its first member in translation-orbit order,
+which keeps the `max-r` witness the one a translation-only walk finds.
+
+The coset mask runs only on the columns with R >= l for the smallest
+candidate coset size l, since a coset of l points carries l roots.
+
 The counting kernels exploit the scalar normalization: with c_1 = 1 and
 exponents fixed, walking all (x, c_2, ..., c_{t-1}) and solving for the
 unique c_t that makes x a root visits every (polynomial, root) incidence
@@ -28,7 +41,7 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations, product
-from math import comb, factorial, isfinite
+from math import comb, factorial, gcd, isfinite
 from typing import Iterator, NamedTuple
 
 import numpy as np
@@ -86,6 +99,37 @@ def _orbit_reps(n: int, t: int) -> Iterator[tuple]:
                 stab += 1
         if minimal:
             yield A, n // stab
+
+
+def _translation_canon(A, n: int) -> tuple:
+    """Smallest translate of the exponent set A mod n (it contains 0)."""
+    return min(tuple(sorted((x - a) % n for x in A)) for a in A)
+
+
+def _affine_reps(n: int, t: int) -> list:
+    """One exponent set per orbit of a -> u*a + s mod n, gcd(u, n) = 1,
+    with the orbit size as weight.
+
+    Each representative is the first translation representative of its
+    orbit in `_orbit_reps` order; its weight sums the translation-orbit
+    sizes of the orbit's members, so the weights cover all comb(n, t)
+    exponent sets once.
+    """
+    sizes = dict(_orbit_reps(n, t))
+    units = [u for u in range(n) if gcd(u, n) == 1]
+    seen: set = set()
+    reps = []
+    for A in sizes:
+        if A in seen:
+            continue
+        members = {_translation_canon([u * a % n for a in A], n) for u in units}
+        seen |= members
+        reps.append((A, sum(sizes[B] for B in members)))
+    if sum(w for _, w in reps) != comb(n, t):
+        raise InternalInvariantError(
+            f"affine orbit weights for n={n}, t={t} do not sum to comb(n, t)"
+        )
+    return reps
 
 
 def count_orbit_reps(n: int, t: int) -> int:
@@ -222,7 +266,11 @@ def _coset_mask(field: FieldSpec, exps: tuple, cols=None) -> np.ndarray:
 
 def estimate_enumeration_work(p: int, t: int) -> int:
     """Rough multiplication count for one weighted enumeration of (p, t):
-    orbit representatives times kernel grid times terms."""
+    translation-orbit representatives times kernel grid times terms.
+
+    The drivers run one kernel per affine orbit, of which there are at
+    most as many as translation orbits, so budgets are checked against
+    this upper bound."""
     _validate_t(p, t)
     n = p - 1
     return count_orbit_reps(n, t) * n ** (t - 1) * t
@@ -275,9 +323,14 @@ def compute_max_R(p: int, t: int, budget: int = DEFAULT_WORK_BUDGET) -> MaxRResu
     """Maximum R(f) over the C(f) <= 1 subfamily of F(p, t), with a
     deterministic witness polynomial attaining it.
 
-    Exponent sets whose kernel maximum cannot beat the running best are
-    skipped; for the rest the vectorized coset mask filters out C > 1
-    columns.  The returned witness is re-checked with the object-level
+    One exponent set per affine orbit is scanned.  Sets whose kernel
+    maximum cannot beat the running best are skipped; for the rest the
+    vectorized coset mask filters out C > 1 columns.  Whether a set has
+    a C <= 1 column with R = V is an orbit property, and each orbit's
+    representative is its first member in translation order, so the
+    first representative to reach the record is the first translation
+    representative to reach it: the witness is the one a walk over all
+    translation orbits returns.  It is re-checked with the object-level
     C computation.
     """
     field = make_prime_field(p)
@@ -285,7 +338,7 @@ def compute_max_R(p: int, t: int, budget: int = DEFAULT_WORK_BUDGET) -> MaxRResu
     n = p - 1
     best = -1
     best_at = None
-    for exps, _orbit in _orbit_reps(n, t):
+    for exps, _weight in _affine_reps(n, t):
         R = _root_count_vector(field, exps)
         top = int(R.max())
         if top <= best:
@@ -353,12 +406,16 @@ def conjecture_table(
     n = p - 1
     counts_all = np.zeros(n + 1, dtype=np.int64)
     counts_c1 = np.zeros(n + 1, dtype=np.int64)
-    for exps, orbit in _orbit_reps(n, t):
+    for exps, weight in _affine_reps(n, t):
         R = _root_count_vector(field, exps)
-        w = n * orbit
+        w = n * weight
         counts_all += np.bincount(R, minlength=n + 1) * w
-        mask = _coset_mask(field, exps)
-        counts_c1 += np.bincount(R[~mask], minlength=n + 1) * w
+        ells = _pairing_primes(exps, n)
+        if ells:
+            # only columns with at least min(ells) roots can vanish on a coset
+            cols = np.flatnonzero(R >= min(ells))
+            R = np.delete(R, cols[_coset_mask(field, exps, cols)])
+        counts_c1 += np.bincount(R, minlength=n + 1) * w
     total_all = int(counts_all.sum())
     total_c1 = int(counts_c1.sum())
     if total_c1 <= 0:

@@ -1,6 +1,6 @@
 import math
 from collections import Counter
-from math import comb, factorial
+from math import comb, factorial, gcd
 
 import numpy as np
 import pytest
@@ -28,7 +28,10 @@ from tnomial.experiments import (
     _coeff_matrix,
     _coset_mask,
     _decode_column,
+    _affine_reps,
     _orbit_reps,
+    _pairing_primes,
+    _poly_from_column,
     _root_count_vector,
     _sample_vanishing_prime,
 )
@@ -107,6 +110,138 @@ def test_count_orbit_reps_frozen():
     assert count_orbit_reps(6, 3) == 4
     assert count_orbit_reps(10, 3) == 12
     assert count_orbit_reps(12, 4) == 43
+
+
+# -- affine orbits ----------------------------------------------------------
+
+
+def _affine_orbit_count(n, t):
+    """Burnside: orbits of a -> u*a + s (gcd(u, n) = 1) on t-subsets of
+    Z_n.  A map fixes the subsets that are unions of its cycles, counted
+    as the z**t coefficient of the product of (1 + z**len) over cycles."""
+    units = [u for u in range(n) if gcd(u, n) == 1]
+    total = 0
+    for u in units:
+        for s in range(n):
+            seen = [False] * n
+            fixed = [1] + [0] * t
+            for x in range(n):
+                length = 0
+                while not seen[x]:
+                    seen[x] = True
+                    x = (u * x + s) % n
+                    length += 1
+                if length:
+                    for d in range(t, length - 1, -1):
+                        fixed[d] += fixed[d - length]
+            total += fixed[t]
+    assert total % (n * len(units)) == 0
+    return total // (n * len(units))
+
+
+def test_affine_orbit_count_frozen():
+    # ROADMAP re-check: (199,3) 151, (61,3) 65, (31,4) 149, (17,5) 47
+    assert _affine_orbit_count(198, 3) == 151
+    assert _affine_orbit_count(60, 3) == 65
+    assert _affine_orbit_count(30, 4) == 149
+    assert _affine_orbit_count(16, 5) == 47
+
+
+def test_affine_reps_match_burnside():
+    for n in range(1, 41):
+        for t in range(1, min(n, 5) + 1):
+            reps = _affine_reps(n, t)
+            assert len(reps) == _affine_orbit_count(n, t), (n, t)
+            assert sum(w for _, w in reps) == comb(n, t), (n, t)
+
+
+def test_affine_reps_lead_their_orbits():
+    """Each representative is the first member of its orbit in
+    translation order, and every member appears in exactly one orbit."""
+    n, t = 30, 4
+    order = [A for A, _ in _orbit_reps(n, t)]
+    reps = _affine_reps(n, t)
+    units = [u for u in range(n) if gcd(u, n) == 1]
+    owner = {}
+    for A, w in reps:
+        for u in units:
+            for s in range(n):
+                image = tuple(sorted((u * a + s) % n for a in A))
+                owner.setdefault(image, A)
+                assert owner[image] == A
+        members = [B for B in order if owner.get(B) == A]
+        assert members[0] == A
+    assert len(owner) == comb(n, t)
+    assert [A for A, _ in reps] == sorted(A for A, _ in reps)
+
+
+def test_affine_weights_raise_on_a_broken_partition(monkeypatch):
+    real = experiments._orbit_reps
+    monkeypatch.setattr(
+        experiments, "_orbit_reps", lambda n, t: ((A, 1) for A, _ in real(n, t))
+    )
+    with pytest.raises(InternalInvariantError):
+        _affine_reps(12, 3)
+
+
+# -- translation-only references of the drivers --------------------------------
+
+
+def _translation_max_R(p, t):
+    """compute_max_R over every translation representative, as the drivers
+    ran before the affine reduction."""
+    field = make_prime_field(p)
+    n = p - 1
+    best, best_at = -1, None
+    for exps, _ in _orbit_reps(n, t):
+        R = _root_count_vector(field, exps)
+        if int(R.max()) <= best:
+            continue
+        cand = np.flatnonzero(R > best)
+        if _pairing_primes(exps, n):
+            cand = cand[~_coset_mask(field, exps, cand)]
+        if len(cand):
+            col = int(cand[np.argmax(R[cand])])
+            best, best_at = int(R[col]), (exps, col)
+    return best, _poly_from_column(field, *best_at)
+
+
+def _translation_histograms(p, t):
+    """{r: (count_all, count_c1)} over every translation representative,
+    with the coset mask on every column."""
+    field = make_prime_field(p)
+    n = p - 1
+    all_, c1 = Counter(), Counter()
+    for exps, orbit in _orbit_reps(n, t):
+        R = _root_count_vector(field, exps)
+        mask = _coset_mask(field, exps)
+        for hist, vals in ((all_, R), (c1, R[~mask])):
+            for r, c in zip(*np.unique(vals, return_counts=True)):
+                hist[int(r)] += int(c) * n * orbit
+    return {r: (all_[r], c1[r]) for r in all_}
+
+
+def _primes(lo, hi):
+    return [p for p in range(lo, hi + 1) if all(p % d for d in range(2, p))]
+
+
+def test_conjecture_table_matches_translation_reference():
+    # every (p, t) of acceptance criterion 10
+    pairs = (
+        [(p, 3) for p in _primes(5, 61)]
+        + [(p, 4) for p in _primes(5, 31)]
+        + [(p, 5) for p in _primes(7, 17)]
+    )
+    for p, t in pairs:
+        got = {rec.r: (rec.count_all, rec.count_c1) for rec in conjecture_table(p, t)}
+        assert got == _translation_histograms(p, t), (p, t)
+
+
+def test_max_R_matches_translation_reference():
+    cases = [(p, 3) for p in _primes(5, 61)] + [(p, 4) for p in _primes(5, 17)]
+    for p, t in cases:
+        res = compute_max_R(p, t)
+        assert (res.value, res.witness) == _translation_max_R(p, t), (p, t)
 
 
 # -- counting kernels against the object-level oracle -------------------------
