@@ -116,7 +116,7 @@ def _affine_reps(n: int, t: int) -> list:
     exponent sets once.
     """
     sizes = dict(_orbit_reps(n, t))
-    units = [u for u in range(n) if gcd(u, n) == 1]
+    units = [u for u in range(n) if gcd(u, n) == 1]  # [0] when n == 1
     seen: set = set()
     reps = []
     for A in sizes:
@@ -410,12 +410,13 @@ def conjecture_table(
         R = _root_count_vector(field, exps)
         w = n * weight
         counts_all += np.bincount(R, minlength=n + 1) * w
+        R_c1 = R
         ells = _pairing_primes(exps, n)
         if ells:
             # only columns with at least min(ells) roots can vanish on a coset
             cols = np.flatnonzero(R >= min(ells))
-            R = np.delete(R, cols[_coset_mask(field, exps, cols)])
-        counts_c1 += np.bincount(R, minlength=n + 1) * w
+            R_c1 = np.delete(R, cols[_coset_mask(field, exps, cols)])
+        counts_c1 += np.bincount(R_c1, minlength=n + 1) * w
     total_all = int(counts_all.sum())
     total_c1 = int(counts_c1.sum())
     if total_c1 <= 0:

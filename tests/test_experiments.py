@@ -36,6 +36,7 @@ from tnomial.experiments import (
     _sample_vanishing_prime,
 )
 from tnomial.field import make_extension_field, make_prime_field
+from tnomial.numtheory import is_prime
 from tnomial.poly import build, count_roots_bruteforce, format_tnomial
 
 
@@ -222,7 +223,7 @@ def _translation_histograms(p, t):
 
 
 def _primes(lo, hi):
-    return [p for p in range(lo, hi + 1) if all(p % d for d in range(2, p))]
+    return [p for p in range(lo, hi + 1) if is_prime(p)]
 
 
 def test_conjecture_table_matches_translation_reference():
