@@ -141,11 +141,9 @@ def _affine_orbit_count(n, t):
 
 
 def test_affine_orbit_count_frozen():
-    # ROADMAP re-check: (199,3) 151, (61,3) 65, (31,4) 149, (17,5) 47
-    assert _affine_orbit_count(198, 3) == 151
-    assert _affine_orbit_count(60, 3) == 65
-    assert _affine_orbit_count(30, 4) == 149
-    assert _affine_orbit_count(16, 5) == 47
+    for n, t, orbits in [(198, 3, 151), (60, 3, 65), (30, 4, 149), (16, 5, 47)]:
+        assert _affine_orbit_count(n, t) == orbits
+        assert len(_affine_reps(n, t)) == orbits
 
 
 def test_affine_reps_match_burnside():
