@@ -75,6 +75,11 @@ CASES = [
     ("samplec2_f16", ["experiment", "sample-c2", "--p", "2", "--k", "4", "--samples", "2000", "--seed", "2"]),
     ("samplec2_f25", ["experiment", "sample-c2", "--p", "5", "--k", "2", "--samples", "1000", "--seed", "6"]),
     ("samplec2_f81", ["experiment", "sample-c2", "--p", "3", "--k", "4", "--samples", "200", "--seed", "7"]),
+    ("samplec2_p31", ["experiment", "sample-c2", "--p", "31", "--samples", "1000", "--seed", "2"]),
+    ("samplec2_p61", ["experiment", "sample-c2", "--p", "61", "--samples", "1000", "--seed", "1"]),
+    ("samplec2_f27", ["experiment", "sample-c2", "--p", "3", "--k", "3", "--samples", "500", "--seed", "3"]),
+    ("samplec2_f125", ["experiment", "sample-c2", "--p", "5", "--k", "3", "--samples", "500", "--seed", "2"]),
+    ("samplec2_f343", ["experiment", "sample-c2", "--p", "7", "--k", "3", "--samples", "500", "--seed", "6"]),
     ("rootdist_p7", ["experiment", "root-dist", "--p", "7", "--samples", "500", "--seed", "2"]),
     ("rootdist_p101", ["experiment", "root-dist", "--p", "101", "--samples", "500", "--seed", "0"]),
     # -- bad input (exit 2) and budget (exit 3) ------------------------------
