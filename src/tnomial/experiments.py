@@ -1,4 +1,4 @@
-"""Enumeration and sampling experiments over prime fields.
+"""Enumeration experiments over prime fields, and sampling over any field.
 
 The driving quantities: R(f) = number of distinct nonzero roots, and
 C(f) = largest vanishing-coset size.  The experiments count, over the
@@ -26,8 +26,9 @@ and maxima carry over with the orbit size as weight.  The representative
 of each affine orbit is its first member in translation-orbit order,
 which keeps the `max-r` witness the one a translation-only walk finds.
 
-The coset mask runs only on the columns with R >= l for the smallest
-candidate coset size l, since a coset of l points carries l roots.
+One kernel, `_coset_mask`, decides C > 1 on F_p and F_{p^k}, for the
+drivers' coefficient columns with R >= l for the smallest candidate
+coset size l (l points carry l roots) and for the sampler's draws.
 
 The counting kernels exploit the scalar normalization: with c_1 = 1 and
 exponents fixed, walking all (x, c_2, ..., c_{t-1}) and solving for the
@@ -41,7 +42,7 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations, product
-from math import comb, factorial, gcd, isfinite
+from math import comb, exp, factorial, gcd, isfinite, lgamma
 from typing import Iterator, NamedTuple
 
 import numpy as np
@@ -57,7 +58,8 @@ from .errors import (
 from .cosets import compute_C
 from .field import FieldSpec, make_prime_field
 from .numtheory import divisors, euler_phi, prime_divisors
-from .poly import TNomial, build, log_tables, root_mask
+from .params import pairs_up
+from .poly import TNomial, build, log_tables
 
 MODES = ("full", "scalar_reduced", "orbit_reduced")
 DEFAULT_WORK_BUDGET = 10**10
@@ -86,7 +88,8 @@ def _validate_t(p: int, t: int) -> None:
 def _orbit_reps(n: int, t: int) -> Iterator[tuple]:
     """Canonical exponent sets (containing 0, minimal among translates)
     with their orbit sizes under a -> a + s mod n."""
-    for rest in combinations(range(1, n), t - 1):
+    # combinations() copies its pool, which a monomial does not need
+    for rest in combinations(range(1, n) if t > 1 else (), t - 1):
         A = (0,) + rest
         stab = 0
         minimal = True
@@ -116,13 +119,16 @@ def _affine_reps(n: int, t: int) -> list:
     exponent sets once.
     """
     sizes = dict(_orbit_reps(n, t))
-    units = [u for u in range(n) if gcd(u, n) == 1]  # [0] when n == 1
     seen: set = set()
     reps = []
     for A in sizes:
         if A in seen:
             continue
-        members = {_translation_canon([u * a % n for a in A], n) for u in units}
+        members = {
+            _translation_canon([u * a % n for a in A], n)
+            for u in range(n)
+            if gcd(u, n) == 1  # u = 0 when n == 1
+        }
         seen |= members
         reps.append((A, sum(sizes[B] for B in members)))
     if sum(w for _, w in reps) != comb(n, t):
@@ -211,53 +217,74 @@ def _root_count_vector(field: FieldSpec, exps: tuple) -> np.ndarray:
     return counts
 
 
-def _pairing_primes(exps: tuple, n: int) -> list:
+def _pairing_primes(exps, n: int) -> list:
     """Primes l | n for which every exponent has a partner mod l; only
     these can carry a vanishing coset."""
-    out = []
-    for ell in prime_divisors(n):
-        classes = Counter(a % ell for a in exps)
-        if all(v >= 2 for v in classes.values()):
-            out.append(ell)
-    return out
+    return [ell for ell in prime_divisors(n) if pairs_up(exps, ell)]
 
 
-def _coset_mask(field: FieldSpec, exps: tuple, cols=None) -> np.ndarray:
+def _blocks(total: int, width: int) -> Iterator[int]:
+    """Sizes of consecutive blocks of total items of width entries each,
+    at most 2**23 entries per block (one item when an item is wider)."""
+    block = max(1, min(total, (1 << 23) // width))
+    for start in range(0, total, block):
+        yield min(block, total - start)
+
+
+def _digits(labels: np.ndarray, field: FieldSpec) -> np.ndarray:
+    """Base-p digits of element labels, least significant first, on a new
+    last axis of length k; on F_p a label is its own digit, as a view."""
+    if field.k == 1:
+        return labels[..., None]
+    return labels[..., None] // field.p ** np.arange(field.k, dtype=np.int64) % field.p
+
+
+def _coset_mask(field: FieldSpec, exps, labels: np.ndarray) -> np.ndarray:
     """Boolean vector over coefficient columns: True where C(f) > 1.
 
-    C(f) > 1 iff f vanishes on a coset of prime size l | p-1, which
-    happens iff for some beta in the order-(n/l) subgroup all residue
-    class sums sum_{a_i = r mod l} c_i beta**(a_i div l) are zero.
-    One exact float64 matmul per (l, class), over all columns at once
-    or over the subset given by cols.
+    labels is a C-contiguous (t, m) array; column j holds the coefficient
+    labels of one polynomial sum_i c_i x**a_i (on F_p the values c_i).
+    C(f) > 1 iff f vanishes on a coset of prime size l | q-1, which
+    happens iff for some beta = g**(l*v) all residue class sums
+    sum_{a_i = r mod l} c_i beta**u_i, u_i = a_i div l, are zero.  A
+    coefficient of F_{p^k} is its k base-p digits, so a class sum is
+    one exact float64 matmul with W[(v,e),(i,d)] = digit e of
+    beta**u_i * y**d.  beta is walked in blocks, so that W, the sums and
+    the vanishing flags hold at most 2**23 entries each.
     """
-    p = field.p
-    n = p - 1
-    t = len(exps)
-    _require_exact_float64(t, p)
-    C = _coeff_matrix(p, t)
-    if cols is not None:
-        C = C[:, cols]
-    m = C.shape[1]
-    ells = _pairing_primes(exps, n)
+    p, k, n = field.p, field.k, field.q - 1
+    t, m = labels.shape
+    _require_exact_float64(t * k, p)
     mask = np.zeros(m, dtype=bool)
+    ells = _pairing_primes(exps, n)
     if not ells:
         return mask
-    pw = log_tables(field).exp
+    tables = log_tables(field)
+    # y**d is the element with label p**d
+    log_y = tables.log[p ** np.arange(k)].astype(np.int64)
+    digits = _digits(labels, field).transpose(0, 2, 1)  # (t, k, m)
     for ell in ells:
-        s = n // ell
-        v = np.arange(s, dtype=np.int64)
-        van = np.ones((s, m), dtype=bool)
         classes: dict[int, list] = {}
         for i, a in enumerate(exps):
             classes.setdefault(a % ell, []).append(i)
-        for idxs in classes.values():
-            us = np.array([exps[i] // ell for i in idxs], dtype=np.int64)
-            W = pw[(ell * v[:, None] * us[None, :]) % n].astype(np.float64)
-            rows = C[idxs].astype(np.float64)
-            sums = np.rint(W @ rows).astype(np.int64) % p
-            van &= sums == 0
-        mask |= van.any(axis=0)
+        widest = max(map(len, classes.values())) * k
+        start = 0
+        for size in _blocks(n // ell, k * max(widest, m)):
+            v = np.arange(start, start + size, dtype=np.int64)
+            start += size
+            van = np.ones((size, m), dtype=bool)
+            last = None
+            for idxs in classes.values():
+                us = [exps[i] // ell for i in idxs]
+                if us != last:  # when sampling, every class has the same u_i
+                    e = (np.multiply.outer(ell * v, us)[..., None] + log_y) % n
+                    W = _digits(tables.exp[e], field).transpose(0, 3, 1, 2)
+                    W, last = W.reshape(size * k, -1).astype(np.float64), us
+                sums = W @ digits[idxs].reshape(len(idxs) * k, m).astype(np.float64)
+                # integers below 2**53, so sums / p is whole iff p | sums
+                sums /= p
+                van &= (sums == np.floor(sums)).reshape(size, k, m).all(axis=1)
+            mask |= van.any(axis=0)
     return mask
 
 
@@ -340,19 +367,14 @@ def compute_max_R(p: int, t: int, budget: int = DEFAULT_WORK_BUDGET) -> MaxRResu
     best_at = None
     for exps, _weight in _affine_reps(n, t):
         R = _root_count_vector(field, exps)
-        top = int(R.max())
-        if top <= best:
+        if int(R.max()) <= best:
             continue
-        if _pairing_primes(exps, n):
-            cand = np.flatnonzero(R > best)
-            cand = cand[~_coset_mask(field, exps, cand)]
-            if len(cand) == 0:
-                continue
+        cand = np.flatnonzero(R > best)
+        cand = cand[~_coset_mask(field, exps, _coeff_matrix(p, t)[:, cand])]
+        if len(cand):
             # first argmax = smallest admissible column: deterministic
             col = int(cand[np.argmax(R[cand])])
             best, best_at = int(R[col]), (exps, col)
-        else:
-            best, best_at = top, (exps, int(np.argmax(R)))
     if best_at is None:
         raise InternalInvariantError(f"no admissible polynomial for p={p}, t={t}")
     witness = _poly_from_column(field, *best_at)
@@ -404,46 +426,39 @@ def conjecture_table(
     field = make_prime_field(p)
     _check_budget(p, t, budget)
     n = p - 1
-    counts_all = np.zeros(n + 1, dtype=np.int64)
-    counts_c1 = np.zeros(n + 1, dtype=np.int64)
+    # Python ints: the weighted totals pass 2**63 from about p = 70000
+    counts_all: Counter = Counter()
+    counts_c1: Counter = Counter()
     for exps, weight in _affine_reps(n, t):
         R = _root_count_vector(field, exps)
-        w = n * weight
-        counts_all += np.bincount(R, minlength=n + 1) * w
         R_c1 = R
         ells = _pairing_primes(exps, n)
         if ells:
             # only columns with at least min(ells) roots can vanish on a coset
             cols = np.flatnonzero(R >= min(ells))
-            R_c1 = np.delete(R, cols[_coset_mask(field, exps, cols)])
-        counts_c1 += np.bincount(R_c1, minlength=n + 1) * w
-    total_all = int(counts_all.sum())
-    total_c1 = int(counts_c1.sum())
+            vanishing = _coset_mask(field, exps, _coeff_matrix(p, t)[:, cols])
+            R_c1 = np.delete(R, cols[vanishing])
+        for counts, values in ((counts_all, R), (counts_c1, R_c1)):
+            hist = np.bincount(values)
+            for r in np.flatnonzero(hist):
+                counts[int(r)] += int(hist[r]) * n * weight
+    total_all = sum(counts_all.values())
+    total_c1 = sum(counts_c1.values())
     if total_c1 <= 0:
         raise InternalInvariantError(f"empty C<=1 family for p={p}, t={t}")
-    occupied = np.flatnonzero(counts_c1)
-    max_r = int(occupied[-1]) if len(occupied) else 0
+    max_r = max(counts_c1)
     records = []
-    for r in range(n + 1):
-        ca, c1 = int(counts_all[r]), int(counts_c1[r])
-        if ca == 0 and c1 == 0:
-            continue
-        base = 1.0 / factorial(r)  # only the power below depends on gamma
-        try:
-            rhs = base**gamma
-        except OverflowError:
-            raise PreconditionViolated(
-                f"(1/{r}!)**gamma is not a finite float for gamma = {gamma!r}"
-            ) from None
+    for r in sorted(counts_all):  # every r of the C <= 1 part occurs here too
+        c1 = counts_c1[r]
         records.append(
             ExperimentRecord(
                 p=p,
                 t=t,
                 r=r,
-                count_all=ca,
+                count_all=counts_all[r],
                 count_c1=c1,
                 ratio=c1 / total_c1,
-                rhs=rhs,
+                rhs=_rhs(r, gamma),
                 gamma=gamma,
                 max_R=max_r,
                 total_all=total_all,
@@ -451,6 +466,17 @@ def conjecture_table(
             )
         )
     return records
+
+
+def _rhs(r: int, gamma: float) -> float:
+    """(1/r!)**gamma, through logarithms once r! is past the float range
+    (171! > 2**1024); PreconditionViolated when it overflows a float."""
+    try:
+        return (1.0 / factorial(r)) ** gamma if r <= 170 else exp(-gamma * lgamma(r + 1))
+    except OverflowError:
+        raise PreconditionViolated(
+            f"(1/{r}!)**gamma is not a finite float for gamma = {gamma!r}"
+        ) from None
 
 
 # -- random sampling ----------------------------------------------------------
@@ -463,13 +489,6 @@ def _validate_sampling(samples, seed) -> None:
         raise PreconditionViolated(f"seed must be a non-negative int, got {seed!r}")
 
 
-def _blocks(samples: int, n: int) -> Iterator[int]:
-    """Sizes of sample blocks holding at most 2**23 coefficients each."""
-    block = max(1, min(samples, (1 << 23) // n))
-    for start in range(0, samples, block):
-        yield min(block, samples - start)
-
-
 def _nonzero_rows(rng, take: int, p: int, n: int) -> np.ndarray:
     """take uniform coefficient rows over F_p; all-zero rows are redrawn."""
     coefs = rng.integers(0, p, size=(take, n), dtype=np.int64)
@@ -478,6 +497,18 @@ def _nonzero_rows(rng, take: int, p: int, n: int) -> np.ndarray:
         if len(dead) == 0:
             return coefs
         coefs[dead] = rng.integers(0, p, size=(len(dead), n), dtype=np.int64)
+
+
+def _nonzero_label_rows(rng, take: int, q: int, n: int) -> np.ndarray:
+    """take uniform element-label rows over F_q, drawn one row at a time;
+    an all-zero row is redrawn at once."""
+    labels = np.empty((take, n), dtype=np.int64)
+    for row in labels:
+        while True:
+            row[:] = rng.integers(0, q, size=n)
+            if row.any():
+                break
+    return labels
 
 
 class VanishingEstimate(NamedTuple):
@@ -493,60 +524,23 @@ def sample_vanishing_proportion(
 
     The bound is the analytic ceiling for that proportion,
     1/q + sum of q**(1-l) over odd primes l | q-1.  All-zero coefficient
-    draws are rejected and redrawn.
+    draws are rejected and redrawn.  Each block of draws goes through
+    the coset mask as coefficient columns over the exponents 0..q-2.
     """
     _validate_sampling(samples, seed)
-    q = field.q
+    q, n = field.q, field.q - 1
     if q > SAMPLING_FIELD_LIMIT:
         raise FieldTooLarge(f"sampling ceiling is q <= {SAMPLING_FIELD_LIMIT}")
+    _require_exact_float64(n * field.k, field.p)
     ells = [ell for ell, _ in field.group_order_factors]
     bound = 1.0 / q + sum(float(q) ** (1 - ell) for ell in ells if ell > 2)
     rng = np.random.default_rng(seed)
-    sample = _sample_vanishing_prime if field.k == 1 else _sample_vanishing_generic
-    hits = sample(field, samples, rng, ells)
+    draw = _nonzero_rows if field.k == 1 else _nonzero_label_rows
+    hits = 0
+    for take in _blocks(samples, n * field.k):
+        labels = np.ascontiguousarray(draw(rng, take, q, n).T)
+        hits += int(np.count_nonzero(_coset_mask(field, range(n), labels)))
     return VanishingEstimate(estimate=hits / samples, bound=bound)
-
-
-def _sample_vanishing_prime(field, samples, rng, ells) -> int:
-    p = field.p
-    n = p - 1
-    _require_exact_float64(n, p)
-    pw = log_tables(field).exp
-    hits = 0
-    for take in _blocks(samples, n):
-        coefs = _nonzero_rows(rng, take, p, n)
-        vanish = np.zeros(take, dtype=bool)
-        for ell in ells:
-            s = n // ell
-            u = np.arange(s, dtype=np.int64)
-            W = pw[np.multiply.outer(u, ell * u) % n].astype(np.float64)
-            cr = coefs.reshape(take, s, ell).astype(np.float64)
-            # sums[i, r, v] = sum_u c[i, u*ell + r] * beta_v**u
-            sums = np.tensordot(cr, W, axes=([1], [1]))
-            sums = np.rint(sums).astype(np.int64) % p
-            vanish |= (sums == 0).all(axis=1).any(axis=1)
-        hits += int(np.count_nonzero(vanish))
-    return hits
-
-
-def _sample_vanishing_generic(field, samples, rng, ells) -> int:
-    n = field.q - 1
-    log = log_tables(field).log
-    hits = 0
-    for take in _blocks(samples, n):
-        labels = np.empty((take, n), dtype=np.int64)
-        for row in labels:
-            while True:
-                row[:] = rng.integers(0, field.q, size=n)
-                if row.any():
-                    break
-        # coefficient of x**j is the element with that label
-        mask = root_mask(field, range(n), log[labels])
-        vanish = np.zeros(take, dtype=bool)
-        for ell in ells:
-            vanish |= mask.reshape(take, ell, n // ell).all(axis=1).any(axis=1)
-        hits += int(np.count_nonzero(vanish))
-    return hits
 
 
 def root_distribution_sample(p: int, samples: int, seed: int = 0) -> dict:

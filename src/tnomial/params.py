@@ -64,22 +64,18 @@ def compute_K(f: TNomial) -> int:
     return min(max(math.gcd(a - b, Q) for b in exps if b != a) for a in exps)
 
 
+def pairs_up(exps, k: int) -> bool:
+    """Whether the exponents pair up mod k: every residue class that
+    contains an exponent contains at least two."""
+    return all(v >= 2 for v in Counter(a % k for a in exps).values())
+
+
 def compute_S(f: TNomial) -> tuple:
-    """All k | q-1 such that the exponents pair up mod k: every residue
-    class that contains an exponent contains at least two.
+    """All k | q-1 such that the exponents pair up mod k.
 
     For t = 1 no exponent can have a partner, so S is empty.
     """
-    n = f.field.q - 1
-    exps = f.exponents
-    if len(exps) < 2:
-        return ()
-    out = []
-    for k in divisors(n):
-        classes = Counter(a % k for a in exps)
-        if all(v >= 2 for v in classes.values()):
-            out.append(k)
-    return tuple(out)
+    return tuple(k for k in divisors(f.field.q - 1) if pairs_up(f.exponents, k))
 
 
 def compute_params(f: TNomial) -> ParamReport:

@@ -1,4 +1,6 @@
 import math
+import random
+import tracemalloc
 from collections import Counter
 from math import comb, factorial, gcd
 
@@ -33,7 +35,6 @@ from tnomial.experiments import (
     _pairing_primes,
     _poly_from_column,
     _root_count_vector,
-    _sample_vanishing_prime,
 )
 from tnomial.field import make_extension_field, make_prime_field
 from tnomial.numtheory import is_prime
@@ -198,7 +199,7 @@ def _translation_max_R(p, t):
             continue
         cand = np.flatnonzero(R > best)
         if _pairing_primes(exps, n):
-            cand = cand[~_coset_mask(field, exps, cand)]
+            cand = cand[~_coset_mask(field, exps, _coeff_matrix(p, t)[:, cand])]
         if len(cand):
             col = int(cand[np.argmax(R[cand])])
             best, best_at = int(R[col]), (exps, col)
@@ -213,7 +214,7 @@ def _translation_histograms(p, t):
     all_, c1 = Counter(), Counter()
     for exps, orbit in _orbit_reps(n, t):
         R = _root_count_vector(field, exps)
-        mask = _coset_mask(field, exps)
+        mask = _coset_mask(field, exps, _coeff_matrix(p, t))
         for hist, vals in ((all_, R), (c1, R[~mask])):
             for r, c in zip(*np.unique(vals, return_counts=True)):
                 hist[int(r)] += int(c) * n * orbit
@@ -262,16 +263,61 @@ def test_kernel_root_counts_match_bruteforce():
         assert int(R[col]) == count_roots_bruteforce(f)
 
 
+def _coset_mask_columns(field, rng):
+    """Coefficient-label columns over the exponents 0..q-2: dense random
+    polynomials, and (x**l - beta) * g with beta an l-th power, which
+    vanishes on the coset of l points where x**l = beta."""
+    F, n = field, field.q - 1
+    columns = [[rng.randrange(F.q) for _ in range(n)] for _ in range(12)]
+    for ell, _ in F.group_order_factors:
+        for _ in range(4 if ell < n else 0):
+            g = [F.element_from_int(rng.randrange(1, F.q))]
+            g += [F.element_from_int(rng.randrange(F.q)) for _ in range(rng.randrange(n - ell))]
+            beta = F.pow(F.element_from_int(rng.randrange(1, F.q)), ell)
+            f = [F.zero] * n
+            for i, c in enumerate(g):
+                f[i + ell] = F.add(f[i + ell], c)
+                f[i] = F.sub(f[i], F.mul(beta, c))
+            columns.append([F.element_to_int(c) for c in f])
+    return np.array([col for col in columns if any(col)], dtype=np.int64).T.copy()
+
+
 def test_coset_mask_matches_compute_C():
     field = make_prime_field(7)
     exps = (0, 2, 4)  # pairs up mod 2, so vanishing cosets are possible
-    mask = _coset_mask(field, exps)
+    mask = _coset_mask(field, exps, _coeff_matrix(7, 3))
     for col in range(36):
         f = build(field, zip(exps, _decode_column(7, 3, col)))
         assert bool(mask[col]) == (compute_C(f) > 1)
     # column-restricted evaluation agrees with the full mask
     cols = np.array([1, 5, 17, 30])
-    assert np.array_equal(_coset_mask(field, exps, cols), mask[cols])
+    assert np.array_equal(_coset_mask(field, exps, _coeff_matrix(7, 3)[:, cols]), mask[cols])
+    rng = random.Random(7)
+    for p, k in [(2, 2), (2, 3), (3, 2), (2, 4), (5, 2), (3, 3), (7, 2), (2, 6)]:
+        F = make_extension_field(p, k)
+        labels = _coset_mask_columns(F, rng)
+        mask = _coset_mask(F, range(F.q - 1), labels)
+        for j, col in enumerate(labels.T):
+            f = build(F, [(a, F.element_from_int(int(c))) for a, c in enumerate(col) if c])
+            assert bool(mask[j]) == (compute_C(f) > 1), (F.q, col)
+        assert mask.any() == (F.q not in (4, 8))  # n = 3 and 7 have no proper coset
+
+
+def test_coset_mask_memory_is_bounded():
+    # 32768 values of beta times 65536 columns: each block of beta holds
+    # at most 2**23 entries, where one unblocked (beta, column) array
+    # would take 2 GB as flags and 16 GB as float64 sums
+    field = make_prime_field(65537)
+    labels = _coeff_matrix(65537, 2)
+    tracemalloc.start()
+    try:
+        mask = _coset_mask(field, (0, 32768), labels)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 256 * 2**20
+    # 1 + c*x**32768 vanishes on the squares (c = -1) or the non-squares (c = 1)
+    assert np.flatnonzero(mask).tolist() == [0, 65535]
 
 
 # -- distribution tables ------------------------------------------------------
@@ -351,6 +397,46 @@ def test_conjecture_table_row_arithmetic():
         assert r.ratio == r.count_c1 / r.total_c1
         assert r.rhs == (1.0 / factorial(r.r)) ** 0.5
         assert r.passes_bound()
+
+
+def test_conjecture_table_rhs_beyond_the_float_factorials():
+    # n = 346 = 2 * 173: binomials 1 + c*x**(2a) have r = 173 roots, and
+    # 173! is past the float range
+    rows = {rec.r: rec for rec in conjecture_table(347, 2)}
+    assert sorted(rows) == [0, 1, 2, 173]
+    assert rows[2].rhs == (1.0 / factorial(2)) ** 0.5
+    log_fact = sum(math.log(i) for i in range(2, 174))
+    assert math.isclose(math.log(rows[173].rhs), -0.5 * log_fact, rel_tol=1e-12)
+    assert all(rec.passes_bound() for rec in rows.values())
+    assert math.isclose(
+        math.log(conjecture_table(347, 2, gamma=-0.5)[-1].rhs), 0.5 * log_fact, rel_tol=1e-12
+    )
+    with pytest.raises(PreconditionViolated):
+        conjecture_table(347, 2, gamma=-2.0)
+
+
+def test_conjecture_table_counts_past_int64(monkeypatch):
+    real = experiments._affine_reps
+    scale = 2**62
+    monkeypatch.setattr(
+        experiments, "_affine_reps", lambda n, t: [(A, w * scale) for A, w in real(n, t)]
+    )
+    n, t = 12, 3
+    rows = conjecture_table(13, t)
+    assert rows[0].total_all == sum(r.count_all for r in rows) == comb(n, t) * n**t * scale
+    assert rows[0].total_c1 == sum(r.count_c1 for r in rows)
+
+
+def test_conjecture_table_memory_does_not_grow_with_p():
+    # t = 1: one exponent set and one column, whatever p is
+    tracemalloc.start()
+    try:
+        rows = conjecture_table(100003, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert [(r.r, r.count_all, r.count_c1) for r in rows] == [(0, 100002**2, 100002**2)]
+    assert peak < 256 * 2**10
 
 
 def test_passes_bound_is_exact_at_gamma_half():
@@ -537,9 +623,14 @@ def test_float64_kernels_refuse_inexact_fields(monkeypatch):
     # must raise before it builds anything
     big = make_prime_field(2**31 - 1)
     with pytest.raises(InternalInvariantError):
-        _coset_mask(big, (0, 1, 2))
-    with pytest.raises(InternalInvariantError):
-        _sample_vanishing_prime(big, 1, np.random.default_rng(0), [2])
+        _coset_mask(big, (0, 1, 2), np.ones((3, 1), dtype=np.int64))
     monkeypatch.setattr(experiments, "SAMPLING_FIELD_LIMIT", 2**31)
+
+    def no_draw(*args):  # one (1, 2**31 - 2) int64 row is 17 GB
+        raise AssertionError("drew coefficients before the exactness check")
+
+    monkeypatch.setattr(experiments, "_nonzero_rows", no_draw)
+    with pytest.raises(InternalInvariantError):
+        sample_vanishing_proportion(big, 1)
     with pytest.raises(InternalInvariantError):
         root_distribution_sample(2**31 - 1, 1)
