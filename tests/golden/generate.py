@@ -82,6 +82,10 @@ CASES = [
     ("samplec2_f343", ["experiment", "sample-c2", "--p", "7", "--k", "3", "--samples", "500", "--seed", "6"]),
     ("rootdist_p7", ["experiment", "root-dist", "--p", "7", "--samples", "500", "--seed", "2"]),
     ("rootdist_p101", ["experiment", "root-dist", "--p", "101", "--samples", "500", "--seed", "0"]),
+    ("rootdist_p2", ["experiment", "root-dist", "--p", "2", "--samples", "10", "--seed", "1"]),
+    ("rootdist_p3", ["experiment", "root-dist", "--p", "3", "--samples", "50", "--seed", "1"]),
+    ("rootdist_p1021", ["experiment", "root-dist", "--p", "1021", "--samples", "9000", "--seed", "4"]),
+    ("rootdist_p4093", ["experiment", "root-dist", "--p", "4093", "--samples", "60", "--seed", "5"]),
     # -- bad input (exit 2) and budget (exit 3) ------------------------------
     ("err_no_arguments", ["analyze"]),
     ("err_not_prime", ["analyze", "--p", "6", "x + 1"]),
