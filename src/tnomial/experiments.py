@@ -23,12 +23,13 @@ permutes the units and maps every coset to a coset of the same size, so
 R and C are invariant; on each exponent set it permutes the coefficient
 columns (with the lowest coefficient renormalized to 1), so histograms
 and maxima carry over with the orbit size as weight.  The representative
-of each affine orbit is its first member in translation-orbit order,
+of each affine orbit is its first set containing 0 in lexicographic order,
 which keeps the `max-r` witness the one a translation-only walk finds.
 
-One kernel, `_coset_mask`, decides C > 1 on F_p and F_{p^k}, for the
-drivers' coefficient columns with R >= l for the smallest candidate
-coset size l (l points carry l roots) and for the sampler's draws.
+One kernel, `_vanishing_counts`, counts the cosets {x : x**l = beta} on
+which each coefficient column vanishes, on F_p and F_{p^k}.  Over the
+primes l | q-1 a nonzero count means C > 1 (`max-r`, `conjecture`,
+`sample-c2`); at l = 1 the cosets are points and the count is R (`root-dist`).
 
 The counting kernels exploit the scalar normalization: with c_1 = 1 and
 exponents fixed, walking all (x, c_2, ..., c_{t-1}) and solving for the
@@ -104,33 +105,31 @@ def _orbit_reps(n: int, t: int) -> Iterator[tuple]:
             yield A, n // stab
 
 
-def _translation_canon(A, n: int) -> tuple:
-    """Smallest translate of the exponent set A mod n (it contains 0)."""
-    return min(tuple(sorted((x - a) % n for x in A)) for a in A)
-
-
 def _affine_reps(n: int, t: int) -> list:
     """One exponent set per orbit of a -> u*a + s mod n, gcd(u, n) = 1,
     with the orbit size as weight.
 
-    Each representative is the first translation representative of its
-    orbit in `_orbit_reps` order; its weight sums the translation-orbit
-    sizes of the orbit's members, so the weights cover all comb(n, t)
-    exponent sets once.
+    The sets containing 0 are walked once in lexicographic order; an
+    orbit's members among them are sorted(u*(x - a) mod n for x in A) for
+    units u and a in A.  Its first member, the representative, is minimal
+    among its translates, so it leads the orbit in `_orbit_reps` order.
+    Each point lies in as many orbit sets as 0, so the orbit has
+    |members| * n / t sets.
     """
-    sizes = dict(_orbit_reps(n, t))
     seen: set = set()
     reps = []
-    for A in sizes:
+    for rest in combinations(range(1, n) if t > 1 else (), t - 1):  # no pool at t = 1
+        A = (0,) + rest
         if A in seen:
             continue
         members = {
-            _translation_canon([u * a % n for a in A], n)
+            tuple(sorted(u * (x - a) % n for x in A))
             for u in range(n)
             if gcd(u, n) == 1  # u = 0 when n == 1
+            for a in A
         }
         seen |= members
-        reps.append((A, sum(sizes[B] for B in members)))
+        reps.append((A, len(members) * n // t))
     if sum(w for _, w in reps) != comb(n, t):
         raise InternalInvariantError(
             f"affine orbit weights for n={n}, t={t} do not sum to comb(n, t)"
@@ -239,26 +238,24 @@ def _digits(labels: np.ndarray, field: FieldSpec) -> np.ndarray:
     return labels[..., None] // field.p ** np.arange(field.k, dtype=np.int64) % field.p
 
 
-def _coset_mask(field: FieldSpec, exps, labels: np.ndarray) -> np.ndarray:
-    """Boolean vector over coefficient columns: True where C(f) > 1.
+def _vanishing_counts(field: FieldSpec, exps, labels: np.ndarray, ells) -> np.ndarray:
+    """For each coefficient column, the number of cosets {x : x**l = beta},
+    l in ells (each l | q-1), on which that polynomial vanishes.
 
     labels is a C-contiguous (t, m) array; column j holds the coefficient
-    labels of one polynomial sum_i c_i x**a_i (on F_p the values c_i).
-    C(f) > 1 iff f vanishes on a coset of prime size l | q-1, which
-    happens iff for some beta = g**(l*v) all residue class sums
-    sum_{a_i = r mod l} c_i beta**u_i, u_i = a_i div l, are zero.  A
-    coefficient of F_{p^k} is its k base-p digits, so a class sum is
-    one exact float64 matmul with W[(v,e),(i,d)] = digit e of
+    labels of one polynomial f = sum_i c_i x**a_i (on F_p the values c_i).
+    f vanishes on x**l = beta = g**(l*v) iff all residue class sums
+    sum_{a_i = r mod l} c_i beta**u_i, u_i = a_i div l, are zero: over
+    `_pairing_primes` a count is nonzero iff C(f) > 1, and at l = 1 the
+    count is R(f).  A coefficient of F_{p^k} is its k base-p digits, so a
+    class sum is one exact float64 matmul with W[(v,e),(i,d)] = digit e of
     beta**u_i * y**d.  beta is walked in blocks, so that W, the sums and
     the vanishing flags hold at most 2**23 entries each.
     """
     p, k, n = field.p, field.k, field.q - 1
     t, m = labels.shape
     _require_exact_float64(t * k, p)
-    mask = np.zeros(m, dtype=bool)
-    ells = _pairing_primes(exps, n)
-    if not ells:
-        return mask
+    counts = np.zeros(m, dtype=np.int64)
     tables = log_tables(field)
     # y**d is the element with label p**d
     log_y = tables.log[p ** np.arange(k)].astype(np.int64)
@@ -284,8 +281,8 @@ def _coset_mask(field: FieldSpec, exps, labels: np.ndarray) -> np.ndarray:
                 # integers below 2**53, so sums / p is whole iff p | sums
                 sums /= p
                 van &= (sums == np.floor(sums)).reshape(size, k, m).all(axis=1)
-            mask |= van.any(axis=0)
-    return mask
+            counts += np.count_nonzero(van, axis=0)
+    return counts
 
 
 # -- enumeration drivers ------------------------------------------------------
@@ -352,7 +349,7 @@ def compute_max_R(p: int, t: int, budget: int = DEFAULT_WORK_BUDGET) -> MaxRResu
 
     One exponent set per affine orbit is scanned.  Sets whose kernel
     maximum cannot beat the running best are skipped; for the rest the
-    vectorized coset mask filters out C > 1 columns.  Whether a set has
+    vanishing-coset counts filter out C > 1 columns.  Whether a set has
     a C <= 1 column with R = V is an orbit property, and each orbit's
     representative is its first member in translation order, so the
     first representative to reach the record is the first translation
@@ -370,7 +367,8 @@ def compute_max_R(p: int, t: int, budget: int = DEFAULT_WORK_BUDGET) -> MaxRResu
         if int(R.max()) <= best:
             continue
         cand = np.flatnonzero(R > best)
-        cand = cand[~_coset_mask(field, exps, _coeff_matrix(p, t)[:, cand])]
+        ells = _pairing_primes(exps, n)
+        cand = cand[_vanishing_counts(field, exps, _coeff_matrix(p, t)[:, cand], ells) == 0]
         if len(cand):
             # first argmax = smallest admissible column: deterministic
             col = int(cand[np.argmax(R[cand])])
@@ -380,7 +378,7 @@ def compute_max_R(p: int, t: int, budget: int = DEFAULT_WORK_BUDGET) -> MaxRResu
     witness = _poly_from_column(field, *best_at)
     if compute_C(witness) > 1:
         raise InternalInvariantError(
-            f"coset mask disagrees with compute_C on {witness}"
+            f"vanishing-coset counts disagree with compute_C on {witness}"
         )
     return MaxRResult(value=best, witness=witness)
 
@@ -436,7 +434,7 @@ def conjecture_table(
         if ells:
             # only columns with at least min(ells) roots can vanish on a coset
             cols = np.flatnonzero(R >= min(ells))
-            vanishing = _coset_mask(field, exps, _coeff_matrix(p, t)[:, cols])
+            vanishing = _vanishing_counts(field, exps, _coeff_matrix(p, t)[:, cols], ells) > 0
             R_c1 = np.delete(R, cols[vanishing])
         for counts, values in ((counts_all, R), (counts_c1, R_c1)):
             hist = np.bincount(values)
@@ -482,13 +480,6 @@ def _rhs(r: int, gamma: float) -> float:
 # -- random sampling ----------------------------------------------------------
 
 
-def _validate_sampling(samples, seed) -> None:
-    if not isinstance(samples, int) or isinstance(samples, bool) or samples < 1:
-        raise InvalidSampleCount(f"samples must be a positive int, got {samples!r}")
-    if not isinstance(seed, int) or isinstance(seed, bool) or seed < 0:
-        raise PreconditionViolated(f"seed must be a non-negative int, got {seed!r}")
-
-
 def _nonzero_rows(rng, take: int, p: int, n: int) -> np.ndarray:
     """take uniform coefficient rows over F_p; all-zero rows are redrawn."""
     coefs = rng.integers(0, p, size=(take, n), dtype=np.int64)
@@ -511,6 +502,29 @@ def _nonzero_label_rows(rng, take: int, q: int, n: int) -> np.ndarray:
     return labels
 
 
+def _sampled_counts(field: FieldSpec, samples: int, seed: int, ells) -> Counter:
+    """Histogram {count: occurrences} of `_vanishing_counts` over ells for
+    samples uniform nonzero polynomials of degree < q-1 drawn from
+    default_rng(seed); every check runs before the first draw."""
+    if not isinstance(samples, int) or isinstance(samples, bool) or samples < 1:
+        raise InvalidSampleCount(f"samples must be a positive int, got {samples!r}")
+    if not isinstance(seed, int) or isinstance(seed, bool) or seed < 0:
+        raise PreconditionViolated(f"seed must be a non-negative int, got {seed!r}")
+    q, n = field.q, field.q - 1
+    if q > SAMPLING_FIELD_LIMIT:
+        raise FieldTooLarge(f"sampling ceiling is q <= {SAMPLING_FIELD_LIMIT}")
+    _require_exact_float64(n * field.k, field.p)
+    rng = np.random.default_rng(seed)
+    draw = _nonzero_rows if field.k == 1 else _nonzero_label_rows
+    hist: Counter = Counter()
+    for take in _blocks(samples, n * field.k):
+        labels = np.ascontiguousarray(draw(rng, take, q, n).T)
+        counts = _vanishing_counts(field, range(n), labels, ells)
+        for c, occurrences in zip(*np.unique(counts, return_counts=True)):
+            hist[int(c)] += int(occurrences)
+    return hist
+
+
 class VanishingEstimate(NamedTuple):
     estimate: float
     bound: float
@@ -524,44 +538,20 @@ def sample_vanishing_proportion(
 
     The bound is the analytic ceiling for that proportion,
     1/q + sum of q**(1-l) over odd primes l | q-1.  All-zero coefficient
-    draws are rejected and redrawn.  Each block of draws goes through
-    the coset mask as coefficient columns over the exponents 0..q-2.
+    draws are rejected and redrawn.  A draw is a hit when it vanishes on
+    at least one coset of prime size.
     """
-    _validate_sampling(samples, seed)
     q, n = field.q, field.q - 1
-    if q > SAMPLING_FIELD_LIMIT:
-        raise FieldTooLarge(f"sampling ceiling is q <= {SAMPLING_FIELD_LIMIT}")
-    _require_exact_float64(n * field.k, field.p)
     ells = [ell for ell, _ in field.group_order_factors]
+    # `_pairing_primes(range(n), n)` without a pass: each class has n/l exponents
+    hist = _sampled_counts(field, samples, seed, [ell for ell in ells if ell < n])
     bound = 1.0 / q + sum(float(q) ** (1 - ell) for ell in ells if ell > 2)
-    rng = np.random.default_rng(seed)
-    draw = _nonzero_rows if field.k == 1 else _nonzero_label_rows
-    hits = 0
-    for take in _blocks(samples, n * field.k):
-        labels = np.ascontiguousarray(draw(rng, take, q, n).T)
-        hits += int(np.count_nonzero(_coset_mask(field, range(n), labels)))
-    return VanishingEstimate(estimate=hits / samples, bound=bound)
+    return VanishingEstimate(estimate=(samples - hist[0]) / samples, bound=bound)
 
 
 def root_distribution_sample(p: int, samples: int, seed: int = 0) -> dict:
     """Histogram {r: occurrences} of R over uniformly random nonzero
-    polynomials of degree < p-1 (prime field), by exact matmul batches."""
-    _validate_sampling(samples, seed)
-    field = make_prime_field(p)
-    if p > SAMPLING_FIELD_LIMIT:
-        raise FieldTooLarge(f"sampling ceiling is p <= {SAMPLING_FIELD_LIMIT}")
-    n = p - 1
-    _require_exact_float64(n, p)
-    pw = log_tables(field).exp
-    # Vf[j, i] = (g**j)**i; row j evaluates a coefficient vector at x = g**j
-    j = np.arange(n, dtype=np.int64)
-    Vf = pw[np.multiply.outer(j, j) % n].astype(np.float64)
-    rng = np.random.default_rng(seed)
-    hist: Counter = Counter()
-    for take in _blocks(samples, n):
-        coefs = _nonzero_rows(rng, take, p, n)
-        vals = np.rint(coefs.astype(np.float64) @ Vf.T).astype(np.int64) % p
-        R = np.count_nonzero(vals == 0, axis=1)
-        for r, c in zip(*np.unique(R, return_counts=True)):
-            hist[int(r)] += int(c)
+    polynomials of degree < p-1 (prime field): R counts the cosets of
+    size 1, the points, on which a polynomial vanishes."""
+    hist = _sampled_counts(make_prime_field(p), samples, seed, (1,))
     return dict(sorted(hist.items()))

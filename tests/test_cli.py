@@ -1,6 +1,8 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -289,10 +291,14 @@ def test_root_dist_field_too_large(capsys):
 
 
 def test_python_dash_m_invocation():
+    # the checkout's src/ first, so the package runs uninstalled too
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "tnomial", "analyze", "--p", "7", "x^3 + 1"],
         capture_output=True,
         text=True,
+        env={**os.environ, "PYTHONPATH": path},
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["C"] == 3

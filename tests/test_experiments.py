@@ -28,17 +28,25 @@ from tnomial.experiments import (
     root_distribution_sample,
     sample_vanishing_proportion,
     _coeff_matrix,
-    _coset_mask,
     _decode_column,
     _affine_reps,
+    _nonzero_rows,
     _orbit_reps,
     _pairing_primes,
     _poly_from_column,
     _root_count_vector,
+    _vanishing_counts,
 )
 from tnomial.field import make_extension_field, make_prime_field
 from tnomial.numtheory import is_prime
-from tnomial.poly import build, count_roots_bruteforce, format_tnomial
+from tnomial.poly import (
+    ZERO_LOG,
+    build,
+    count_roots_bruteforce,
+    format_tnomial,
+    log_tables,
+    root_mask,
+)
 
 
 # -- enumeration modes --------------------------------------------------------
@@ -176,15 +184,18 @@ def test_affine_reps_lead_their_orbits():
 
 
 def test_affine_weights_raise_on_a_broken_partition(monkeypatch):
-    real = experiments._orbit_reps
-    monkeypatch.setattr(
-        experiments, "_orbit_reps", lambda n, t: ((A, 1) for A, _ in real(n, t))
-    )
+    # with every u taken for a unit, the multipliers no longer form a group
+    monkeypatch.setattr(experiments, "gcd", lambda u, n: 1)
     with pytest.raises(InternalInvariantError):
         _affine_reps(12, 3)
 
 
 # -- translation-only references of the drivers --------------------------------
+
+
+def _c_above_1(field, exps, labels):
+    """C > 1 per coefficient column, decided as the drivers decide it."""
+    return _vanishing_counts(field, exps, labels, _pairing_primes(exps, field.q - 1)) > 0
 
 
 def _translation_max_R(p, t):
@@ -199,7 +210,7 @@ def _translation_max_R(p, t):
             continue
         cand = np.flatnonzero(R > best)
         if _pairing_primes(exps, n):
-            cand = cand[~_coset_mask(field, exps, _coeff_matrix(p, t)[:, cand])]
+            cand = cand[~_c_above_1(field, exps, _coeff_matrix(p, t)[:, cand])]
         if len(cand):
             col = int(cand[np.argmax(R[cand])])
             best, best_at = int(R[col]), (exps, col)
@@ -214,7 +225,7 @@ def _translation_histograms(p, t):
     all_, c1 = Counter(), Counter()
     for exps, orbit in _orbit_reps(n, t):
         R = _root_count_vector(field, exps)
-        mask = _coset_mask(field, exps, _coeff_matrix(p, t))
+        mask = _c_above_1(field, exps, _coeff_matrix(p, t))
         for hist, vals in ((all_, R), (c1, R[~mask])):
             for r, c in zip(*np.unique(vals, return_counts=True)):
                 hist[int(r)] += int(c) * n * orbit
@@ -283,23 +294,28 @@ def _coset_mask_columns(field, rng):
 
 
 def test_coset_mask_matches_compute_C():
+    # the prime-size cosets decide C > 1; l = 1 counts the roots
     field = make_prime_field(7)
     exps = (0, 2, 4)  # pairs up mod 2, so vanishing cosets are possible
-    mask = _coset_mask(field, exps, _coeff_matrix(7, 3))
+    mask = _c_above_1(field, exps, _coeff_matrix(7, 3))
+    R = _vanishing_counts(field, exps, _coeff_matrix(7, 3), (1,))
     for col in range(36):
         f = build(field, zip(exps, _decode_column(7, 3, col)))
         assert bool(mask[col]) == (compute_C(f) > 1)
+        assert int(R[col]) == count_roots_bruteforce(f)
     # column-restricted evaluation agrees with the full mask
     cols = np.array([1, 5, 17, 30])
-    assert np.array_equal(_coset_mask(field, exps, _coeff_matrix(7, 3)[:, cols]), mask[cols])
+    assert np.array_equal(_c_above_1(field, exps, _coeff_matrix(7, 3)[:, cols]), mask[cols])
     rng = random.Random(7)
     for p, k in [(2, 2), (2, 3), (3, 2), (2, 4), (5, 2), (3, 3), (7, 2), (2, 6)]:
         F = make_extension_field(p, k)
         labels = _coset_mask_columns(F, rng)
-        mask = _coset_mask(F, range(F.q - 1), labels)
+        mask = _c_above_1(F, range(F.q - 1), labels)
+        R = _vanishing_counts(F, range(F.q - 1), labels, (1,))
         for j, col in enumerate(labels.T):
             f = build(F, [(a, F.element_from_int(int(c))) for a, c in enumerate(col) if c])
             assert bool(mask[j]) == (compute_C(f) > 1), (F.q, col)
+            assert int(R[j]) == count_roots_bruteforce(f), (F.q, col)
         assert mask.any() == (F.q not in (4, 8))  # n = 3 and 7 have no proper coset
 
 
@@ -311,7 +327,7 @@ def test_coset_mask_memory_is_bounded():
     labels = _coeff_matrix(65537, 2)
     tracemalloc.start()
     try:
-        mask = _coset_mask(field, (0, 32768), labels)
+        mask = _c_above_1(field, (0, 32768), labels)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -609,6 +625,18 @@ def test_root_distribution_sample_frozen_shape():
     assert abs(mean - 6 / 7) < 0.25
 
 
+def test_root_distribution_sample_matches_root_mask():
+    # an independent count: the same draws (one block of rows at these
+    # sizes), evaluated by the log-domain root mask instead of a matmul
+    for p, samples, seed in [(7, 400, 3), (101, 500, 0), (257, 300, 2)]:
+        field = make_prime_field(p)
+        rows = _nonzero_rows(np.random.default_rng(seed), samples, p, p - 1)
+        logs = np.where(rows == 0, ZERO_LOG, log_tables(field).log[rows])
+        R = root_mask(field, range(p - 1), logs).sum(axis=1)
+        expected = {int(r): int(c) for r, c in zip(*np.unique(R, return_counts=True))}
+        assert root_distribution_sample(p, samples, seed=seed) == expected, p
+
+
 def test_root_distribution_sample_validation():
     with pytest.raises(InvalidSampleCount):
         root_distribution_sample(7, 0)
@@ -623,7 +651,7 @@ def test_float64_kernels_refuse_inexact_fields(monkeypatch):
     # must raise before it builds anything
     big = make_prime_field(2**31 - 1)
     with pytest.raises(InternalInvariantError):
-        _coset_mask(big, (0, 1, 2), np.ones((3, 1), dtype=np.int64))
+        _c_above_1(big, (0, 1, 2), np.ones((3, 1), dtype=np.int64))
     monkeypatch.setattr(experiments, "SAMPLING_FIELD_LIMIT", 2**31)
 
     def no_draw(*args):  # one (1, 2**31 - 2) int64 row is 17 GB
