@@ -153,8 +153,8 @@ def count_orbit_reps(n: int, t: int) -> int:
 @lru_cache(maxsize=4)
 def _coeff_matrix(p: int, t: int) -> np.ndarray:
     """Columns = scalar-normalized coefficient tuples (1, c_2, ..., c_t),
-    c_i in [1, p), with c_t varying fastest.  Shape (t, (p-1)**(t-1)).
-    Treat as read-only."""
+    c_i in [1, p), with c_t varying fastest.  Shape (t, (p-1)**(t-1)),
+    read-only: the cache hands the same array to every caller."""
     n = p - 1
     m = n ** (t - 1)
     C = np.empty((t, m), dtype=np.int64)
@@ -163,21 +163,12 @@ def _coeff_matrix(p: int, t: int) -> np.ndarray:
     for i in range(t - 1, 0, -1):
         C[i] = cols % n + 1
         cols //= n
+    C.setflags(write=False)
     return C
 
 
-def _decode_column(p: int, t: int, col: int) -> tuple:
-    n = p - 1
-    digits = []
-    for _ in range(t - 1):
-        digits.append(col % n)
-        col //= n
-    return (1,) + tuple(d + 1 for d in reversed(digits))
-
-
 def _poly_from_column(field: FieldSpec, exps: tuple, col: int) -> TNomial:
-    coeffs = _decode_column(field.p, len(exps), col)
-    return build(field, zip(exps, coeffs))
+    return build(field, zip(exps, _coeff_matrix(field.p, len(exps))[:, col].tolist()))
 
 
 def _root_count_vector(field: FieldSpec, exps: tuple) -> np.ndarray:
@@ -186,32 +177,32 @@ def _root_count_vector(field: FieldSpec, exps: tuple) -> np.ndarray:
 
     For each unit x = g**j and each prefix (c_2, ..., c_{t-1}) there is
     exactly one c_t with f(x) = 0, namely -(1 + sum c_i x**a_i) / x**a_t,
-    admissible when nonzero.  One bincount accumulates all incidences.
+    admissible when nonzero.  Grid point F is column F of `_coeff_matrix`:
+    its rows 1 .. t-2 hold the prefix and its last row j + 1, so the
+    incidence lands in column F - j + c_t - 1.  One bincount per chunk
+    accumulates the incidences.
     """
     p = field.p
     n = p - 1
     t = len(exps)
-    m = n ** (t - 1)
     if t == 1:
         return np.zeros(1, dtype=np.int64)
+    grid = _coeff_matrix(p, t)
+    m = grid.shape[1]  # the (x, prefix) grid has the size of the column space
     pw = log_tables(field).exp
     j_idx = np.arange(n, dtype=np.int64)
-    xa = {a: pw[(a * j_idx) % n] for a in exps[1:]}
+    xa = [pw[(a * j_idx) % n] for a in exps[1:-1]]
     inv_xat = pw[(-exps[-1] * j_idx) % n]
     counts = np.zeros(m, dtype=np.int64)
-    total = m  # (x, prefix) grid has the same size as the column space
-    for start in range(0, total, _CHUNK):
-        F = np.arange(start, min(start + _CHUNK, total), dtype=np.int64)
-        j = F % n
-        s = np.ones(len(F), dtype=np.int64)
-        rem = F // n
-        for i in range(t - 2, 0, -1):  # digits c_{t-1} down to c_2
-            c = rem % n + 1
-            rem //= n
-            s = (s + c * xa[exps[i]][j]) % p
+    for start in range(0, m, _CHUNK):
+        block = grid[:, start : start + _CHUNK]
+        j = block[-1] - 1
+        s = np.ones(block.shape[1], dtype=np.int64)
+        for c, x in zip(block[1:-1], xa):
+            s = (s + c * x[j]) % p
         ct = (p - s) % p * inv_xat[j] % p
         valid = ct != 0
-        col = (F // n) * n + ct - 1
+        col = np.arange(start, start + len(j), dtype=np.int64) - j + ct - 1
         counts += np.bincount(col[valid], minlength=m)
     return counts
 
@@ -281,7 +272,8 @@ def _vanishing_counts(field: FieldSpec, exps, labels: np.ndarray, ells) -> np.nd
                 # integers below 2**53, so sums / p is whole iff p | sums
                 sums /= p
                 van &= (sums == np.floor(sums)).reshape(size, k, m).all(axis=1)
-            counts += np.count_nonzero(van, axis=0)
+            # `_blocks` gives at most 2**23 rows of beta, so int32 column sums cannot overflow
+            counts += van.sum(axis=0, dtype=np.int32)
     return counts
 
 

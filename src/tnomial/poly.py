@@ -11,8 +11,10 @@ Two independent root counters are provided: a direct scan over the unit
 group, and the degree of gcd(f, x**(q-1) - 1) computed by modular
 exponentiation.  They share no code beyond the field primitives.  The
 scan evaluates f at every unit x = g**j at once by Zech-logarithm table
-lookups (root_mask), the same way for every field; the root count, the
-vanishing cosets and the coset decomposition are read off its mask.
+lookups (root_mask), the same way for every field.  Its coefficients are
+nonzero, as a TNomial's are, and ZERO_LOG marks a partial sum that
+cancels.  The root count, the vanishing cosets and the coset
+decomposition are read off its mask.
 
 The gcd oracle never reads those tables.  It raises x to the power q-1
 mod f by square and multiply with exact products mod p: np.convolve on
@@ -141,7 +143,7 @@ def count_roots_bruteforce(f: TNomial) -> int:
 
 # -- log-domain evaluation on the unit group ---------------------------------
 
-ZERO_LOG = -1  # the discrete log of the zero element, in tables and kernel input
+ZERO_LOG = -1  # the discrete log of the zero element, in tables and kernel sums
 
 _TABLE_CHUNK = 1 << 13
 
@@ -197,25 +199,27 @@ def log_tables(field: FieldSpec) -> LogTables:
 def root_mask(field: FieldSpec, exponents, coeff_logs) -> np.ndarray:
     """Root mask of sum_i c_i x**a_i: entry j is True iff it is zero at g**j.
 
-    coeff_logs holds log c_i (ZERO_LOG for c_i = 0), shape (t,) for one
-    polynomial or (B, t) for a batch; the mask is (q-1,) or (B, q-1).
+    coeff_logs holds log c_i of the nonzero coefficients, shape (t,) for
+    one polynomial or (B, t) for a batch; the mask is (q-1,) or (B, q-1).
     Term i at g**j has log (log c_i + a_i*j) mod q-1, and terms are added
-    by Zech's logarithm, log(X + Y) = log X + zech[log Y - log X].
+    by Zech's logarithm, log(X + Y) = log X + zech[log Y - log X].  A
+    partial sum that cancels is ZERO_LOG; adding a term to it gives the
+    term.  A negative log, such as the ZERO_LOG of a zero coefficient,
+    raises InternalInvariantError.
     """
     n = field.q - 1
     zech = log_tables(field).zech
     logs = np.asarray(coeff_logs, dtype=np.int64)
+    if (logs < 0).any():
+        raise InternalInvariantError("root_mask takes the logs of nonzero coefficients only")
     j = np.arange(n, dtype=np.int64)
-    acc = np.full(logs.shape[:-1] + (n,), ZERO_LOG, dtype=np.int64)
-    for a, lc in zip(exponents, logs.T):
-        lc = lc[..., None]
-        term = np.where(lc == ZERO_LOG, ZERO_LOG, (lc + (a % n) * j) % n)
+    terms = ((lc[..., None] + (a % n) * j) % n for a, lc in zip(exponents, logs.T))
+    acc = next(terms)
+    for term in terms:
         z = zech[(term - acc) % n]
         total = (acc + z) % n
         total[z == ZERO_LOG] = ZERO_LOG
-        # a zero summand leaves the other one
         np.copyto(total, term, where=acc == ZERO_LOG)
-        np.copyto(total, acc, where=term == ZERO_LOG)
         acc = total
     return acc == ZERO_LOG
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .cosets import _C_from_mask, _decomposition_from_mask, _vanishing_cosets
+from .cosets import _decomposition_from_mask, _vanishing_cosets
 from .field import FieldSpec
 from .params import compute_params
 from .poly import (
@@ -160,7 +160,15 @@ def analyze(f: TNomial) -> dict:
     report["roots"] = roots
 
     if mask is not None:
-        c_value = _C_from_mask(fn, mask)
+        # S(f) holds every size of a vanishing coset, so C is the largest
+        # witnessed k, else 1 or 0 as f has roots or not
+        witnesses = [
+            w
+            for k in (report["params"]["S"] if f.t >= 2 else ())
+            if k > 1
+            for w in _vanishing_cosets(fn, mask, k)
+        ]
+        c_value = max((w.k for w in witnesses), default=int(mask.any()))
         report["C"] = c_value
         if c_value == 0:
             report["C_note"] = "no nonzero roots at all"
@@ -168,20 +176,14 @@ def analyze(f: TNomial) -> dict:
             report["C_note"] = "roots exist but no full coset of size > 1 vanishes"
         else:
             report["C_note"] = None
-        witnesses = []
-        if f.t >= 2:
-            for k in report["params"]["S"]:
-                if k <= 1:
-                    continue
-                for w in _vanishing_cosets(fn, mask, k):
-                    witnesses.append(
-                        {
-                            "k": w.k,
-                            "beta": element_json(F, w.beta),
-                            "representative": element_json(F, w.representative),
-                        }
-                    )
-        report["vanishing_cosets"] = witnesses
+        report["vanishing_cosets"] = [
+            {
+                "k": w.k,
+                "beta": element_json(F, w.beta),
+                "representative": element_json(F, w.representative),
+            }
+            for w in witnesses
+        ]
     else:
         c_value = None
         report["C"] = None

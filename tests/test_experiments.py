@@ -2,6 +2,7 @@ import math
 import random
 import tracemalloc
 from collections import Counter
+from itertools import product
 from math import comb, factorial, gcd
 
 import numpy as np
@@ -28,7 +29,6 @@ from tnomial.experiments import (
     root_distribution_sample,
     sample_vanishing_proportion,
     _coeff_matrix,
-    _decode_column,
     _affine_reps,
     _nonzero_rows,
     _orbit_reps,
@@ -40,7 +40,6 @@ from tnomial.experiments import (
 from tnomial.field import make_extension_field, make_prime_field
 from tnomial.numtheory import is_prime
 from tnomial.poly import (
-    ZERO_LOG,
     build,
     count_roots_bruteforce,
     format_tnomial,
@@ -258,11 +257,12 @@ def test_max_R_matches_translation_reference():
 # -- counting kernels against the object-level oracle -------------------------
 
 
-def test_coeff_matrix_decode_roundtrip():
-    C = _coeff_matrix(5, 3)
-    assert C.shape == (3, 16)
-    for col in range(16):
-        assert tuple(int(x) for x in C[:, col]) == _decode_column(5, 3, col)
+def test_coeff_matrix_column_order_and_read_only():
+    for p, t in [(5, 1), (5, 3), (7, 2), (3, 4)]:
+        expected = [(1,) + c for c in product(range(1, p), repeat=t - 1)]
+        assert [tuple(col) for col in _coeff_matrix(p, t).T.tolist()] == expected
+    with pytest.raises(ValueError):
+        _coeff_matrix(5, 3)[1, 0] = 2
 
 
 def test_kernel_root_counts_match_bruteforce():
@@ -270,7 +270,7 @@ def test_kernel_root_counts_match_bruteforce():
     exps = (0, 2, 3)
     R = _root_count_vector(field, exps)
     for col in range(36):
-        f = build(field, zip(exps, _decode_column(7, 3, col)))
+        f = _poly_from_column(field, exps, col)
         assert int(R[col]) == count_roots_bruteforce(f)
 
 
@@ -300,7 +300,7 @@ def test_coset_mask_matches_compute_C():
     mask = _c_above_1(field, exps, _coeff_matrix(7, 3))
     R = _vanishing_counts(field, exps, _coeff_matrix(7, 3), (1,))
     for col in range(36):
-        f = build(field, zip(exps, _decode_column(7, 3, col)))
+        f = _poly_from_column(field, exps, col)
         assert bool(mask[col]) == (compute_C(f) > 1)
         assert int(R[col]) == count_roots_bruteforce(f)
     # column-restricted evaluation agrees with the full mask
@@ -559,8 +559,6 @@ def _exhaustive_vanishing_count_q5():
     A vanishing coset of any size > 1 contains vanishing sub-cosets of
     prime size, so C(f) > 1 is exactly the sampler's hit condition.
     """
-    from itertools import product
-
     field = make_prime_field(5)
     hits = 0
     total = 0
@@ -631,8 +629,8 @@ def test_root_distribution_sample_matches_root_mask():
     for p, samples, seed in [(7, 400, 3), (101, 500, 0), (257, 300, 2)]:
         field = make_prime_field(p)
         rows = _nonzero_rows(np.random.default_rng(seed), samples, p, p - 1)
-        logs = np.where(rows == 0, ZERO_LOG, log_tables(field).log[rows])
-        R = root_mask(field, range(p - 1), logs).sum(axis=1)
+        log = log_tables(field).log
+        R = [int(root_mask(field, np.flatnonzero(row), log[row[row > 0]]).sum()) for row in rows]
         expected = {int(r): int(c) for r, c in zip(*np.unique(R, return_counts=True))}
         assert root_distribution_sample(p, samples, seed=seed) == expected, p
 

@@ -6,6 +6,7 @@ import pytest
 from tnomial.errors import (
     EmptyInput,
     FieldTooLarge,
+    InternalInvariantError,
     ParseError,
     ReducibleModulus,
     ZeroCoefficient,
@@ -254,8 +255,7 @@ KERNEL_FIELDS = (
 )
 def test_root_mask_matches_evaluation(field):
     """The log-domain root mask equals evaluate(f, x) == 0 at every unit,
-    for single polynomials with t = 1..6 and for a batch with zero
-    coefficients."""
+    for single polynomials with t = 1..6 and for a batch of dense rows."""
     rng = random.Random(field.q)
     n = field.q - 1
     units = list(field.unit_powers())
@@ -269,18 +269,21 @@ def test_root_mask_matches_evaluation(field):
             assert roots_on_units(f).tolist() == expected
             assert count_roots_bruteforce(f) == sum(expected)
             assert has_nonzero_root(f) == any(expected)
-    # dense rows over exponents 0..n-1, zero labels included; the last
-    # row is the zero polynomial, which vanishes everywhere
-    labels = np.array([[rng.randrange(field.q) for _ in range(n)] for _ in range(4)] + [[0] * n])
+    # nonzero coefficients on every exponent 0..n-1
+    labels = np.array([[rng.randrange(1, field.q) for _ in range(n)] for _ in range(4)])
     batch = root_mask(field, range(n), tables.log[labels])
-    assert batch.shape == (5, n)
+    assert batch.shape == (4, n)
     for row, got in zip(labels, batch):
-        terms = [(a, field.element_from_int(int(c))) for a, c in enumerate(row) if c]
-        if terms:
-            f = build(field, terms)
-            assert got.tolist() == [evaluate(f, x) == field.zero for x in units]
-        else:
-            assert got.all()
+        f = build(field, [(a, field.element_from_int(int(c))) for a, c in enumerate(row)])
+        assert got.tolist() == [evaluate(f, x) == field.zero for x in units]
+
+
+def test_root_mask_rejects_a_zero_coefficient():
+    log = log_tables(F7).log
+    with pytest.raises(InternalInvariantError):
+        root_mask(F7, (0, 1, 3), log[[1, 0, 2]])
+    with pytest.raises(InternalInvariantError):
+        root_mask(F7, (0, 1), log[[[1, 2], [0, 3]]])
 
 
 def test_log_tables_size_and_limit():

@@ -5,6 +5,7 @@ import random
 import pytest
 
 from tnomial import poly
+from tnomial.cosets import _vanishing_cosets
 from tnomial.experiments import compute_max_R, conjecture_table
 from tnomial.field import make_extension_field, make_prime_field
 from tnomial.poly import build, parse_tnomial
@@ -194,6 +195,30 @@ def test_analyze_builds_one_root_mask_per_report(monkeypatch):
     assert (count, rep["reduction"]) == (1, None)
     count, rep = scans(parse_tnomial(make_prime_field(4194319), "x^2 + 1"))
     assert (count, rep["C"]) == (0, None)
+
+
+def test_analyze_searches_each_coset_size_once(monkeypatch):
+    """C is read off the witness list: one coset search per k in S, k > 1."""
+    calls = []
+
+    def counted(fn, mask, k):
+        calls.append(k)
+        return _vanishing_cosets(fn, mask, k)
+
+    monkeypatch.setattr("tnomial.cosets._vanishing_cosets", counted)
+    monkeypatch.setattr("tnomial.report._vanishing_cosets", counted)
+    E = make_extension_field(3, 2)
+    for f, C in [
+        (parse_tnomial(make_prime_field(13), "1 + x^4 + x^8"), 4),
+        (parse_tnomial(make_prime_field(13), "1 + 12*x^6"), 6),
+        (parse_tnomial(make_prime_field(13), "1 + x^4 + x^6 + 6*x^10"), 2),
+        (parse_tnomial(make_prime_field(13), "1 + x + x^6 + 4*x^7"), 1),
+        (build(E, [(0, 1), (2, E.element_from_int(5)), (4, 1), (6, 2)]), 0),
+    ]:
+        calls.clear()
+        rep = analyze(f)
+        assert calls == [k for k in rep["params"]["S"] if k > 1], f
+        assert rep["C"] == C, f
 
 
 def test_report_verdict_failures():
