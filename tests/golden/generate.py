@@ -3,7 +3,8 @@
 Each case is one command line.  Its stdout goes to <name>.out and its
 exit code to cases.json; tests/test_golden.py replays every case and
 compares both.  Stderr is not recorded: messages may be reworded, the
-exit code says what kind of failure it was.
+exit code says what kind of failure it was.  The stdout of each script
+in demos/ goes to demo_<script>.out and is replayed the same way.
 
 Regenerating rewrites the expectations from whatever the code does now,
 so do it only on a commit whose output is trusted, and record that
@@ -17,10 +18,12 @@ from __future__ import annotations
 import contextlib
 import io
 import json
+import runpy
 import sys
 from pathlib import Path
 
 HERE = Path(__file__).resolve().parent
+DEMOS = HERE.parent.parent / "demos"
 
 CASES = [
     # -- analyze over prime fields, t = 1..6 ---------------------------------
@@ -54,6 +57,9 @@ CASES = [
     ("analyze_f64_planted_m9", ["analyze", "--p", "2", "--k", "6", "[0,0,0,1,1,0] + [1,1,1,0,1,0]*x^9 + [0,1,1,0,1,0]*x^18 + x^36"]),
     ("analyze_f64_planted_shifted_t6", ["analyze", "--p", "2", "--k", "6", "[1,1,0,1,1,1] + [0,1,0,1,0,1]*x^7 + x^21 + [1,1,0,1,1,1]*x^5 + [0,1,0,1,0,1]*x^12 + x^26"]),
     ("analyze_f243_t3", ["analyze", "--p", "3", "--k", "5", "x^121 + [0,1]*x^11 + 2"]),
+    # default moduli and generators found past the prime subfield
+    ("analyze_f1021sq_t3", ["analyze", "--p", "1021", "--k", "2", "x^7 + 3*x^2 + 1"]),
+    ("analyze_f101cube_t3", ["analyze", "--p", "101", "--k", "3", "x^100 + [0,1]*x^50 + 2"]),
     # -- experiments ----------------------------------------------------------
     ("maxr_p7_t1", ["experiment", "max-r", "--p", "7", "--t", "1"]),
     ("maxr_p13_t2", ["experiment", "max-r", "--p", "13", "--t", "2"]),
@@ -95,6 +101,8 @@ CASES = [
     ("err_degree_zero", ["analyze", "--p", "3", "--k", "0", "x + 1"]),
     ("err_modulus_on_prime", ["analyze", "--p", "7", "--modulus", "1,0,1", "x + 1"]),
     ("err_reducible_modulus", ["analyze", "--p", "3", "--k", "2", "--modulus", "2,0,1", "x + 1"]),
+    ("err_reducible_modulus_root", ["analyze", "--p", "5", "--k", "3", "--modulus", "1,1,1,1", "x + 1"]),
+    ("err_reducible_modulus_no_root", ["analyze", "--p", "2", "--k", "4", "--modulus", "1,0,1,0,1", "x + 1"]),
     ("err_extension_too_large", ["analyze", "--p", "2", "--k", "21", "x + 1"]),
     ("err_gamma_nan", ["experiment", "conjecture", "--p", "7", "--t", "2", "--gamma", "nan"]),
     ("err_gamma_inf", ["experiment", "conjecture", "--p", "7", "--t", "2", "--gamma", "inf"]),
@@ -118,6 +126,14 @@ def run_case(argv) -> tuple:
     return code, out.getvalue()
 
 
+def run_demo(path) -> str:
+    """stdout text of one in-process run of a demo script."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        runpy.run_path(str(path), run_name="__main__")
+    return out.getvalue()
+
+
 def main() -> None:
     index = []
     for name, argv in CASES:
@@ -128,6 +144,10 @@ def main() -> None:
     with open(HERE / "cases.json", "w", encoding="utf-8", newline="") as fh:
         json.dump(index, fh, indent=1)
         fh.write("\n")
+    for path in sorted(DEMOS.glob("*.py")):
+        text = run_demo(path)
+        (HERE / f"demo_{path.stem}.out").write_text(text, encoding="utf-8", newline="")
+        print(f"demo {path.name}: {len(text.encode())} bytes")
 
 
 if __name__ == "__main__":
