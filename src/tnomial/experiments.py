@@ -312,7 +312,7 @@ def enumerate_tnomials(p: int, t: int, mode: str = "full") -> Iterator[tuple]:
     The iterator is lazy and unbudgeted.
     """
     if mode not in MODES:
-        raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
+        raise PreconditionViolated(f"mode must be one of {MODES}, got {mode!r}")
     field = make_prime_field(p)
     _validate_t(p, t)
     n = p - 1

@@ -7,6 +7,11 @@ ascending degree).  All operations go through a FieldSpec, which carries
 the characteristic, the modulus, a fixed generator of the unit group,
 and the factored unit-group order.
 
+F_{p^k} is F_p[y]/(m).  Its arithmetic runs on one F_p[y] layer at the
+end of this module (product, division with remainder, extended Euclid):
+a product is reduced mod m, an inverse is the Euclid against m, and m
+is irreducible iff gcd(y**(p**i) - y, m) = 1 for every i <= k // 2.
+
 Size ceilings keep every supported operation exact and affordable:
 prime fields up to 2**31 and extension fields up to 2**20 elements.
 """
@@ -84,7 +89,8 @@ class FieldSpec:
     def mul(self, a: Element, b: Element) -> Element:
         if self.k == 1:
             return (a * b) % self.p
-        return self._reduce(self._conv(a, b))
+        r = _poly_divmod(_poly_mul(a, b, self.p), self.modulus, self.p)[1]
+        return tuple(r) + (0,) * (self.k - len(r))
 
     def inv(self, a: Element) -> Element:
         """Multiplicative inverse; raises DivisionByZero on the zero element."""
@@ -92,18 +98,11 @@ class FieldSpec:
             raise DivisionByZero("inverse of zero")
         if self.k == 1:
             return pow(a, -1, self.p)
-        # extended Euclid in F_p[y], tracking only the cofactor of a
+        # m is irreducible, so the Euclid of m and a ends at a constant r
         p = self.p
-        r0, r1 = list(self.modulus), _poly_trim(list(a))
-        s0, s1 = [], [1]
-        while len(r1) > 1:
-            quo, rem = _poly_divmod(r0, r1, p)
-            prod = _poly_mul(quo, s1, p)
-            r0, r1 = r1, rem
-            s0, s1 = s1, [(x - y) % p for x, y in zip_longest(s0, prod, fillvalue=0)]
-        scale = pow(r1[0], -1, p)
-        out = [x * scale % p for x in s1] + [0] * self.k
-        return tuple(out[: self.k])
+        r, s = _poly_xgcd(self.modulus, a, p)
+        scale = pow(r[0], -1, p)
+        return tuple([x * scale % p for x in s]) + (0,) * (self.k - len(s))
 
     def pow(self, a: Element, e: int) -> Element:
         """a**e with e any integer; negative e inverts first."""
@@ -123,26 +122,6 @@ class FieldSpec:
             e >>= 1
         return result
 
-    def _conv(self, a: tuple, b: tuple) -> list:
-        p = self.p
-        out = [0] * (2 * self.k - 1)
-        for i, x in enumerate(a):
-            if x:
-                for j, y in enumerate(b):
-                    out[i + j] += x * y
-        return [c % p for c in out]
-
-    def _reduce(self, c: list) -> tuple:
-        # fold degrees >= k down using x**k = -(m_0 + ... + m_{k-1} x**{k-1})
-        p, k, m = self.p, self.k, self.modulus
-        for i in range(len(c) - 1, k - 1, -1):
-            ci = c[i] % p
-            if ci:
-                for j in range(k):
-                    c[i - k + j] = (c[i - k + j] - ci * m[j]) % p
-            c[i] = 0
-        return tuple(c[j] % p for j in range(k))
-
     # -- canonical integer encoding ---------------------------------------
 
     def element_from_int(self, n: int) -> Element:
@@ -152,7 +131,7 @@ class FieldSpec:
         base p, least-significant digit = constant coefficient.
         """
         if not 0 <= n < self.q:
-            raise ValueError(f"element label {n} out of range for q={self.q}")
+            raise PreconditionViolated(f"element label {n} out of range for q={self.q}")
         if self.k == 1:
             return n
         digits = []
@@ -232,7 +211,8 @@ def _find_generator(spec: FieldSpec) -> Element:
     """
     checks = [(spec.q - 1) // ell for ell, _ in spec.group_order_factors]
     one = spec.one
-    for n in range(1, spec.q):
+    # for k >= 2 the labels below p are F_p, whose unit orders divide p-1 < q-1
+    for n in range(1 if spec.k == 1 else spec.p, spec.q):
         x = spec.element_from_int(n)
         if all(spec.pow(x, c) != one for c in checks):
             return x
@@ -262,7 +242,8 @@ def subgroup_elements(field: FieldSpec, d: int) -> list:
     return out
 
 
-# -- dense polynomial helpers over F_p (modulus validation, inverses) -----
+# -- the F_p[y] layer: product, division, extended Euclid -------------------
+# A polynomial is a sequence of ints in [0, p), constant term first.
 
 
 def _poly_trim(a: list) -> list:
@@ -271,90 +252,75 @@ def _poly_trim(a: list) -> list:
     return a
 
 
-def _poly_divmod(a: list, b: list, p: int) -> tuple:
-    """(quotient, remainder) of a by b over F_p; b need not be monic.
-    The remainder is trimmed."""
-    a = [c % p for c in a]
-    db = len(b) - 1
-    inv_lead = pow(b[-1], -1, p)
-    quo = [0] * max(0, len(a) - db)
-    for i in range(len(a) - 1, db - 1, -1):
-        c = a[i]
-        if c:
-            f = c * inv_lead % p
-            quo[i - db] = f
-            for j in range(db + 1):
-                a[i - db + j] = (a[i - db + j] - f * b[j]) % p
-    return quo, _poly_trim(a[:db])
-
-
-def _poly_rem(a: list, b: list, p: int) -> list:
-    """Remainder of a mod b over F_p; b need not be monic.  Trimmed."""
-    return _poly_divmod(a, b, p)[1]
-
-
-def _poly_mul(a: list, b: list, p: int) -> list:
+def _poly_mul(a, b, p: int) -> list:
     out = [0] * (len(a) + len(b) - 1)
     for i, x in enumerate(a):
         if x:
             for j, y in enumerate(b):
-                out[i + j] = (out[i + j] + x * y) % p
-    return out
+                out[i + j] += x * y
+    return [c % p for c in out]
 
 
-def _poly_mulmod(a: list, b: list, m: list, p: int) -> list:
-    return _poly_rem(_poly_mul(a, b, p), m, p)
+def _poly_divmod(a, b, p: int) -> tuple:
+    """(quotient, remainder) of a by b over F_p; b need not be monic.
+    The remainder is trimmed."""
+    a = list(a)
+    db = len(b) - 1
+    inv_lead = pow(b[-1], -1, p)
+    quo = [0] * max(0, len(a) - db)
+    for i in range(len(a) - 1, db - 1, -1):
+        f = a[i] * inv_lead % p
+        if f:
+            quo[i - db] = f
+            # a[i] itself is left as is: only a[:db] is read back
+            for j in range(db):
+                a[i - db + j] = (a[i - db + j] - f * b[j]) % p
+    return quo, _poly_trim(a[:db])
 
 
-def _poly_powmod(base: list, e: int, m: list, p: int) -> list:
+def _poly_xgcd(a, b, p: int) -> tuple:
+    """(r, s) with s*b = r mod a, for a trimmed a of degree >= 1.
+
+    Runs the Euclidean remainder sequence of a and b and stops at the
+    first remainder of degree <= 0.  If that remainder is a nonzero
+    constant, gcd(a, b) = 1 and r is that constant; otherwise r is the
+    last nonzero remainder, a gcd of a and b of degree >= 1.
+    """
+    r0, r1 = a, _poly_trim(list(b))
+    s0, s1 = [], [1]
+    while len(r1) > 1:
+        quo, rem = _poly_divmod(r0, r1, p)
+        prod = _poly_mul(quo, s1, p)
+        r0, r1 = r1, rem
+        s0, s1 = s1, [(x - y) % p for x, y in zip_longest(s0, prod, fillvalue=0)]
+    return (r1, s1) if r1 else (r0, s0)
+
+
+def _poly_powmod(base, e: int, m, p: int) -> list:
     result = [1]
-    b = _poly_rem(list(base), m, p)
+    b = _poly_divmod(base, m, p)[1]
     while e:
         if e & 1:
-            result = _poly_mulmod(result, b, m, p)
-        b = _poly_mulmod(b, b, m, p)
+            result = _poly_divmod(_poly_mul(result, b, p), m, p)[1]
+        b = _poly_divmod(_poly_mul(b, b, p), m, p)[1]
         e >>= 1
     return result
 
 
-def _poly_gcd(a: list, b: list, p: int) -> list:
-    a = _poly_trim([c % p for c in a])
-    b = _poly_trim([c % p for c in b])
-    while b:
-        a, b = b, _poly_rem(a, b, p)
-    return a
-
-
-def _poly_eval(coeffs, x: int, p: int) -> int:
-    v = 0
-    for c in reversed(coeffs):
-        v = (v * x + c) % p
-    return v
-
-
 def _is_irreducible(m: tuple, p: int) -> bool:
-    """Irreducibility of a monic degree-k polynomial mod p.
+    """Irreducibility of a monic m of degree k >= 1 mod p.
 
-    Degree <= 3: irreducible iff no root in F_p.  Higher degree: m is
-    irreducible iff gcd(x**(p**i) - x, m) is constant for 1 <= i < k,
-    since every irreducible of degree d divides x**(p**d) - x.
+    A reducible m has an irreducible factor of degree d <= k // 2, which
+    divides y**(p**d) - y; an irreducible m of degree k divides
+    y**(p**i) - y only for k | i.  So m is irreducible iff
+    gcd(y**(p**i) - y, m) is constant for every 1 <= i <= k // 2.
     """
-    k = len(m) - 1
-    if k < 1:
-        return False
-    if m[0] == 0:  # divisible by x
-        return k == 1
-    if k == 1:
-        return True
-    if k <= 3:
-        return all(_poly_eval(m, x, p) != 0 for x in range(p))
-    r = [0, 1]  # the polynomial x
-    mlist = list(m)
-    for _ in range(k - 1):
-        r = _poly_powmod(r, p, mlist, p)
-        diff = list(r) + [0] * max(0, 2 - len(r))
+    r = [0, 1]  # the polynomial y
+    for _ in range((len(m) - 1) // 2):
+        r = _poly_powmod(r, p, m, p)
+        diff = r + [0] * (2 - len(r))
         diff[1] = (diff[1] - 1) % p
-        if len(_poly_gcd(mlist, diff, p)) != 1:
+        if len(_poly_xgcd(m, diff, p)[0]) != 1:
             return False
     return True
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 from functools import reduce
 
-from .errors import EmptyInput
+from .errors import EmptyInput, PreconditionViolated
 
 
 def is_prime(n: int) -> bool:
@@ -33,7 +33,7 @@ def factorize(n: int) -> tuple[tuple[int, int], ...]:
     """Prime factorization of n >= 1 as ((prime, multiplicity), ...) with
     primes ascending.  factorize(1) == ()."""
     if n < 1:
-        raise ValueError(f"cannot factorize {n}")
+        raise PreconditionViolated(f"cannot factorize {n}")
     out = []
     for p in _trial_divisors(n):
         if p * p > n:

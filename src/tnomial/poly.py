@@ -39,6 +39,7 @@ from .errors import (
     FieldTooLarge,
     InternalInvariantError,
     ParseError,
+    PreconditionViolated,
     ZeroCoefficient,
     ZeroFunction,
 )
@@ -109,9 +110,9 @@ def _coerce_coefficient(field: FieldSpec, c) -> Element:
         return v if field.k == 1 else (v,) + (0,) * (field.k - 1)
     c = tuple(int(x) % field.p for x in c)
     if field.k == 1:
-        raise ValueError("vector coefficient supplied for a prime field")
+        raise PreconditionViolated("vector coefficient supplied for a prime field")
     if len(c) > field.k:
-        raise ValueError(f"coefficient vector longer than extension degree {field.k}")
+        raise PreconditionViolated(f"coefficient vector longer than extension degree {field.k}")
     return c + (0,) * (field.k - len(c))
 
 

@@ -48,7 +48,7 @@ def modular_norm(vec, N: int) -> int:
     """max_i min(r_i, N - r_i) where r_i = vec_i mod N: the largest
     distance of any coordinate from the nearest multiple of N."""
     if N < 1:
-        raise ValueError(f"modulus must be positive, got {N}")
+        raise PreconditionViolated(f"modulus must be positive, got {N}")
     vals = [v % N for v in vec]
     if not vals:
         raise EmptyInput("norm of empty vector")
@@ -77,7 +77,7 @@ def find_small_multiple(a, N: int, n: int) -> SmallMultiple:
     if not a:
         raise EmptyInput("empty exponent vector")
     if N < 1:
-        raise ValueError(f"modulus must be positive, got {N}")
+        raise PreconditionViolated(f"modulus must be positive, got {N}")
     if n < 2:
         raise EmptyRange(f"multiplier range [1, {n}) is empty")
     g = gcd_all(a, N)

@@ -14,6 +14,12 @@ from tnomial.cli import (
     EXIT_OK,
     main,
 )
+from tnomial.errors import TNomialError
+from tnomial.experiments import enumerate_tnomials
+from tnomial.field import make_extension_field, make_prime_field
+from tnomial.numtheory import factorize
+from tnomial.poly import build
+from tnomial.reduction import find_small_multiple, modular_norm
 
 
 def run_cli(capsys, *argv):
@@ -162,6 +168,26 @@ def test_unexpected_exception_is_internal(capsys, monkeypatch):
     assert code == EXIT_INTERNAL
     assert out == ""
     assert "internal error: ValueError: index arithmetic went wrong" in err
+
+
+BAD_LIBRARY_CALLS = {
+    "vector_coefficient_prime_field": lambda: build(make_prime_field(7), [(1, (1, 2))]),
+    "coefficient_vector_too_long": lambda: build(make_extension_field(3, 2), [(1, (1, 2, 0))]),
+    "element_label_too_large": lambda: make_extension_field(3, 2).element_from_int(9),
+    "element_label_negative": lambda: make_prime_field(7).element_from_int(-1),
+    "modular_norm_modulus_zero": lambda: modular_norm([1, 2], 0),
+    "small_multiple_modulus_zero": lambda: find_small_multiple([1, 2], 0, 2),
+    "enumeration_mode": lambda: next(enumerate_tnomials(7, 2, mode="bogus")),
+    "factorize_zero": lambda: factorize(0),
+}
+
+
+@pytest.mark.parametrize("call", BAD_LIBRARY_CALLS.values(), ids=BAD_LIBRARY_CALLS.keys())
+def test_bad_library_input_raises_a_typed_error(call):
+    """Bad input to a public function raises a TNomialError, which the
+    CLI maps to exit 2, never a plain ValueError, which it maps to 4."""
+    with pytest.raises(TNomialError):
+        call()
 
 
 def test_argparse_errors_map_to_input_code(capsys):

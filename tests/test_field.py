@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from tnomial.errors import (
@@ -10,6 +12,8 @@ from tnomial.errors import (
 )
 from tnomial.field import (
     EXTENSION_FIELD_LIMIT,
+    _is_irreducible,
+    _poly_xgcd,
     make_extension_field,
     make_prime_field,
     subgroup_elements,
@@ -208,3 +212,94 @@ def test_field_axioms_sampled():
             assert F.sub(F.add(a, b), b) == a
             for c in xs:
                 assert F.mul(a, F.add(b, c)) == F.add(F.mul(a, b), F.mul(a, c))
+
+
+def _smallest_generator_label(F):
+    """Smallest label whose powers walk the whole unit group."""
+    for n in range(1, F.q):
+        x = F.element_from_int(n)
+        y = x
+        for _ in range(F.q - 2):
+            if y == F.one:
+                break
+            y = F.mul(y, x)
+        else:
+            return n
+
+
+@pytest.mark.parametrize("p,k", [
+    (2, 2), (2, 3), (3, 2), (2, 4), (5, 2), (3, 3), (7, 2), (2, 5), (2, 6), (3, 4),
+    (11, 2), (5, 3), (13, 2), (2, 8), (3, 5), (17, 2), (7, 3), (19, 2), (23, 2),
+    (5, 4), (29, 2), (31, 2),
+])
+def test_generator_is_the_smallest_over_all_labels(p, k):
+    F = make_extension_field(p, k)
+    assert F.element_to_int(F.g) == _smallest_generator_label(F)
+
+
+MOBIUS = {1: 1, 2: -1, 3: -1, 4: 0, 5: -1, 6: 1, 7: -1, 8: 0}
+
+
+@pytest.mark.parametrize("p,k", [(p, k) for p in (2, 3, 5, 7) for k in (1, 2, 3, 4)]
+                         + [(2, k) for k in (5, 6, 7, 8)])
+def test_irreducible_count_matches_gauss(p, k):
+    """Monic irreducibles of degree k over F_p number
+    (1/k) * sum over d | k of mu(d) * p**(k/d)."""
+    expected = sum(MOBIUS[d] * p ** (k // d) for d in range(1, k + 1) if k % d == 0) // k
+    count = 0
+    for n in range(p**k):
+        lower = [n // p**i % p for i in range(k)]
+        count += _is_irreducible(tuple(lower) + (1,), p)
+    assert count == expected
+
+
+def _trim(a):
+    while a and a[-1] == 0:
+        a.pop()
+    return a
+
+
+def _mul(a, b, p):
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] = (out[i + j] + x * y) % p
+    return _trim(out)
+
+
+def _rem(a, b, p):
+    a, inv = _trim([c % p for c in a]), pow(b[-1], -1, p)
+    while len(a) >= len(b):
+        f, shift = a[-1] * inv % p, len(a) - len(b)
+        for j, y in enumerate(b):
+            a[shift + j] = (a[shift + j] - f * y) % p
+        _trim(a)
+    return a
+
+
+def _random_poly(rng, p, degree):
+    return [rng.randrange(p) for _ in range(degree)] + [rng.randrange(1, p)]
+
+
+def _sub(a, b, p):
+    n = max(len(a), len(b))
+    a, b = a + [0] * (n - len(a)), b + [0] * (n - len(b))
+    return _trim([(x - y) % p for x, y in zip(a, b)])
+
+
+@pytest.mark.parametrize("p", [2, 3, 7, 101])
+def test_xgcd_cofactor(p):
+    """s*b = r mod a, and r divides a and b, so r is a gcd of a and b:
+    a nonzero constant for a coprime pair, of degree >= 1 otherwise."""
+    rng = random.Random(p)
+    coprime = 0
+    for trial in range(60):
+        common = _random_poly(rng, p, 1 + trial % 3) if trial % 2 else [1]
+        a = _mul(common, _random_poly(rng, p, rng.randrange(1, 6)), p)
+        b = _mul(common, _random_poly(rng, p, rng.randrange(0, 8)), p)
+        r, s = _poly_xgcd(a, b, p)
+        assert r and _rem(_sub(_mul(s, b, p), r, p), a, p) == []
+        assert _rem(a, r, p) == [] and _rem(b, r, p) == []
+        assert len(r) >= len(common)
+        coprime += len(r) == 1
+    assert 0 < coprime < 60
