@@ -94,13 +94,15 @@ class FieldSpec:
 
     def inv(self, a: Element) -> Element:
         """Multiplicative inverse; raises DivisionByZero on the zero element."""
-        if a == self.zero:
-            raise DivisionByZero("inverse of zero")
         if self.k == 1:
+            if a == 0:
+                raise DivisionByZero("inverse of zero")
             return pow(a, -1, self.p)
-        # m is irreducible, so the Euclid of m and a ends at a constant r
+        # m is irreducible: the Euclid of m and a ends at a constant unless m | a
         p = self.p
         r, s = _poly_xgcd(self.modulus, a, p)
+        if len(r) != 1:
+            raise DivisionByZero("inverse of zero")
         scale = pow(r[0], -1, p)
         return tuple([x * scale % p for x in s]) + (0,) * (self.k - len(s))
 
