@@ -87,19 +87,27 @@ class FieldSpec:
         return tuple((-x) % self.p for x in a)
 
     def mul(self, a: Element, b: Element) -> Element:
+        """Product of two elements.  Unchecked, as it is a hot path: a
+        digit outside [0, p) or a tuple of the wrong length gives a wrong
+        answer, not an error."""
         if self.k == 1:
             return (a * b) % self.p
         r = _poly_divmod(_poly_mul(a, b, self.p), self.modulus, self.p)[1]
         return tuple(r) + (0,) * (self.k - len(r))
 
     def inv(self, a: Element) -> Element:
-        """Multiplicative inverse; raises DivisionByZero on the zero element."""
+        """Multiplicative inverse; raises DivisionByZero on the zero element
+        and PreconditionViolated on a value that is not an element of the field:
+        a tuple of the wrong length or a digit outside [0, p)."""
+        p = self.p
+        digits = (a,) if self.k == 1 else a
+        if len(digits) != self.k or not all(0 <= x < p for x in digits):
+            raise PreconditionViolated(f"{a!r} is not an element of F_{self.q}")
         if self.k == 1:
             if a == 0:
                 raise DivisionByZero("inverse of zero")
             return pow(a, -1, self.p)
         # m is irreducible: the Euclid of m and a ends at a constant unless m | a
-        p = self.p
         r, s = _poly_xgcd(self.modulus, a, p)
         if len(r) != 1:
             raise DivisionByZero("inverse of zero")

@@ -18,18 +18,21 @@ decomposition are read off its mask.
 
 The gcd oracle never reads those tables.  It raises x to the power q-1
 mod f by square and multiply with exact products mod p: np.convolve on
-short vectors, a float64 FFT on 8-bit limbs on long ones.  Each square
-is reduced by Barrett division, one more product with the Newton inverse
-of the reversed f.  Over F_{p^k} a coefficient is a row of k base-p
-digits, packed into 2k-1 slots for a product (Kronecker substitution),
-so prime and extension fields share the same products; a dense Euclid
-then gives the gcd.
+short vectors, float64 FFTs on long ones, each vector split into the
+fewest limbs that an a-priori rounding bound allows (one limb for every
+oracle product with p < 2**14, two for the longest ones mod 65521, three
+mod p < 2**31).  Each square is reduced by Barrett division, one more
+product with the Newton inverse of the reversed f.  Over F_{p^k} a
+coefficient is a row of k base-p digits, packed into 2k-1 slots for a
+product (Kronecker substitution), so prime and extension fields share
+the same products; a dense Euclid then gives the gcd.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from math import sqrt
 from typing import NamedTuple
 
 import numpy as np
@@ -239,11 +242,13 @@ def roots_on_units(f: TNomial) -> np.ndarray:
 # field).  It uses FieldSpec arithmetic and these arrays only, never the
 # log tables, so it stays an independent check of the scan.
 
-# Product length from which the limb FFT beats np.convolve.  Best of 7x20
-# products of two equal all-(p-1) vectors mod 65521 on a 2-core Xeon with
-# numpy 2.4.6: length 767, convolve 96 us, FFT 112 us; 895, 134 and
-# 113 us; 1023, 184 and 132 us; 8191, 12.6 ms and 1.41 ms.
-FFT_MIN_LENGTH = 800
+# Product length from which the one-limb FFT beats np.convolve.  Best of
+# 15x20 products of all-(p-1) vectors mod 6007 on a 2-core Xeon with numpy
+# 2.4.6, as convolve, FFT square and FFT of two vectors: length 447, 39, 41
+# and 57 us; 511, 49, 45 and 57 us; 575, 58, 44 and 61 us; 767, 88, 46 and
+# 92 us.  The oracle's long products are squares or reuse the spectrum of
+# a fixed factor, so they cost what a square does.
+FFT_MIN_LENGTH = 512
 
 
 def count_roots_gcd(f: TNomial) -> int:
@@ -251,10 +256,11 @@ def count_roots_gcd(f: TNomial) -> int:
 
     Computes x**(q-1) mod f by left-to-right square and multiply; each
     square is reduced by Barrett division, one product with the Newton
-    inverse of the reversed f, and each step by x folds one coefficient.
-    Then one dense Euclid.  Products are exact (_convolve_mod_p), on
-    Kronecker-packed digit rows for F_{p^k}.  Independent of the scan
-    counter.  Raises FieldTooLarge when q > 2**16.
+    inverse of the reversed f, whose limb spectra are taken once, and
+    each step by x folds one coefficient.  Then one dense Euclid.
+    Products are exact (_convolve_mod_p), on Kronecker-packed digit rows
+    for F_{p^k}.  Independent of the scan counter.  Raises FieldTooLarge
+    when q > 2**16.
     """
     F = f.field
     if F.q > GCD_LIMIT:
@@ -275,12 +281,14 @@ def count_roots_gcd(f: TNomial) -> int:
     low = [(a, mul @ _digits(F, c) % p) for a, c in f.terms[:-1]]
     shift = [(a, mul @ _digits(F, F.neg(F.mul(c, lead_inv))) % p) for a, c in f.terms[:-1]]
     inv = _series_inverse(fd[::-1], d - 1, _digits(F, lead_inv), p, fold)
+    # every quotient is the product of d - 1 top rows with inv
+    by_inv = _fixed_factor(inv, d - 1, p, fold)
     cur = np.zeros((d, F.k), dtype=np.int64)
     cur[1, 0] = 1  # the polynomial x
     for bit in bin(F.q - 1)[3:]:
         sq = _mul_rows(cur, cur, p, fold)  # degree <= 2d - 2
         # the quotient, reversed, is rev(top d - 1 coefficients) * inv mod x**(d-1)
-        quo = _mul_rows(sq[: d - 1 : -1], inv, p, fold)[d - 2 :: -1]
+        quo = by_inv(sq[: d - 1 : -1])[d - 2 :: -1]
         cur = sq[:d]
         for a, m in low:
             n = min(d - 1, d - a)
@@ -323,52 +331,152 @@ def _mul_tensor(fold: np.ndarray) -> np.ndarray:
     return np.lib.stride_tricks.sliding_window_view(fold, fold.shape[1], axis=0)
 
 
-def _mul_rows(a: np.ndarray, b: np.ndarray, p: int, fold: np.ndarray) -> np.ndarray:
-    """Exact product of two digit-row polynomials over F_{p^k}.
+# Kronecker substitution: each coefficient of F_{p^k} takes 2k - 1 slots,
+# so the digit products of one coefficient pair never reach the next;
+# after one product over F_p each block of slots folds to k digits.  A
+# prime field's digit rows are the coefficients themselves.
 
-    Kronecker substitution: each coefficient takes 2k - 1 slots, so the
-    digit products of one coefficient pair never reach the next; after one
-    product over F_p each block of slots folds to k digits.
-    """
+
+def _pack(v: np.ndarray, fold: np.ndarray) -> np.ndarray:
     w, k = fold.shape
-    n = len(a) + len(b) - 1
+    if k == 1:
+        return v[:, 0]
+    slots = np.zeros((len(v), w), dtype=np.int64)
+    slots[:, :k] = v
+    return slots.ravel()[: len(v) * w - (k - 1)]
 
-    def pack(v: np.ndarray) -> np.ndarray:
-        slots = np.zeros((len(v), w), dtype=np.int64)
-        slots[:, :k] = v
-        return slots.ravel()[: len(v) * w - (k - 1)]
 
-    pa = pack(a)
-    prod = _convolve_mod_p(pa, pa if b is a else pack(b), p)
-    return prod.reshape(n, w) @ fold % p
+def _unpack(prod: np.ndarray, p: int, fold: np.ndarray) -> np.ndarray:
+    w, k = fold.shape
+    if k == 1:
+        return prod[:, None]
+    return prod.reshape(-1, w) @ fold % p
+
+
+def _mul_rows(a: np.ndarray, b: np.ndarray, p: int, fold: np.ndarray) -> np.ndarray:
+    """Exact product of two digit-row polynomials over F_{p^k}."""
+    pa = _pack(a, fold)
+    return _unpack(_convolve_mod_p(pa, pa if b is a else _pack(b, fold), p), p, fold)
+
+
+def _fixed_factor(b: np.ndarray, rows: int, p: int, fold: np.ndarray):
+    """The function a -> _mul_rows(a, b, p, fold) for every a of the given
+    number of rows, with b packed and its limb spectra taken once."""
+    pb = _pack(b, fold)
+    w, k = fold.shape
+    plan = _limb_plan(rows * w - (k - 1), len(pb), p)
+    if plan is None:
+        return lambda a: _mul_rows(a, b, p, fold)
+    fb = _limb_spectra(pb, plan)
+
+    def product(a: np.ndarray) -> np.ndarray:
+        return _unpack(_limb_product(_limb_spectra(_pack(a, fold), plan), fb, plan, p), p, fold)
+
+    return product
 
 
 def _convolve_mod_p(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
     """Exact product mod p of two int64 coefficient vectors with entries
-    in [0, p), for p < 2**16.
+    in [0, p), for p <= 2**31.
 
-    Below FFT_MIN_LENGTH it is np.convolve, exact while every sum of
-    products stays below 2**63.  From there each vector splits into two
-    8-bit limbs, and the three limb products come from float64 FFTs,
+    np.convolve below FFT_MIN_LENGTH, where its sums of products stay
+    below 2**63.  Otherwise both vectors split into the fewest limbs that
+    _limb_plan admits, and the limb products come from float64 FFTs,
     which must round to integers within 1/4.
     """
-    n = len(a) + len(b) - 1
-    if n < FFT_MIN_LENGTH:
-        if min(len(a), len(b)) * (p - 1) ** 2 >= 2**63:
-            raise InternalInvariantError(f"np.convolve of length {n} mod {p} would overflow int64")
+    plan = _limb_plan(len(a), len(b), p)
+    if plan is None:
         return np.convolve(a, b) % p
-    if p >= 2**16:
-        raise InternalInvariantError(f"the two-limb FFT product needs p < 2**16, got {p}")
-    size = 1 << (n - 1).bit_length()
-    fa = np.fft.rfft(np.stack((a & 255, a >> 8)), size)
-    fb = fa if b is a else np.fft.rfft(np.stack((b & 255, b >> 8)), size)
-    prods = np.stack((fa[0] * fb[0], fa[0] * fb[1] + fa[1] * fb[0], fa[1] * fb[1]))
-    limbs = np.fft.irfft(prods, size)[:, :n]
+    fa = _limb_spectra(a, plan)
+    return _limb_product(fa, fa if b is a else _limb_spectra(b, plan), plan, p)
+
+
+# Unit roundoff of float64, for the rounding bound of the limb FFT.
+_EPS = 2.0**-53
+
+
+class _LimbPlan(NamedTuple):
+    """How _convolve_mod_p splits a product of length n: into `limbs`
+    limbs of `width` bits each, multiplied by real FFTs of length `size`."""
+
+    n: int
+    limbs: int
+    width: int
+    size: int
+
+
+def _limb_plan(la: int, lb: int, p: int) -> _LimbPlan | None:
+    """The limb split for a product of lengths la and lb mod p, or None
+    when np.convolve computes it exactly and faster.
+
+    A vector split into L limbs of w = ceil(bits(p - 1) / L) bits has limb
+    vectors x_i, y_j with entries at most 2**w - 1, so their Euclidean
+    norms are |x_i| <= (2**w - 1) sqrt(la) and |y_j| <= (2**w - 1) sqrt(lb).
+    For an FFT product of size N = 2**m, Percival (Math. Comp. 72, 2003)
+    bounds the error of each coefficient by |x| |y| ((1 + e)**3m
+    (1 + e sqrt 5)**(3m + 1) (1 + b)**3m - 1), e = 2**-53, with roots of
+    unity accurate to b <= e; to first order that is below
+    |x| |y| e (13 m + 3).  Taken with m = ceil(log2 N) and summed over the
+    at most L limb products in one output limb, the bound
+    L (2**w - 1)**2 sqrt(la lb) e (13 m + 3) must stay below 1/4, so that
+    rounding recovers every limb product; the product checks that it did.
+    """
+    n = la + lb - 1
+    if n < FFT_MIN_LENGTH and min(la, lb) * (p - 1) ** 2 < 2**63:
+        return None
+    if p > 2**31:
+        raise InternalInvariantError(f"the limb FFT recombines in int64 and needs p <= 2**31, got {p}")
+    size = _smooth_size(n)
+    scale = sqrt(la * lb) * _EPS * (13 * (size - 1).bit_length() + 3)
+    bits = (p - 1).bit_length()
+    for limbs in range(1, bits + 1):
+        width = -(-bits // limbs)
+        if limbs * ((1 << width) - 1) ** 2 * scale < 0.25:
+            return _LimbPlan(n, limbs, width, size)
+    raise InternalInvariantError(f"no limb split keeps a product of length {n} mod {p} exact")
+
+
+def _smooth_size(n: int) -> int:
+    """The smallest 2**a * 3**b * 5**c >= n: an FFT length numpy
+    transforms about as fast as a power of two."""
+    best = 1 << (n - 1).bit_length()
+    f5 = 1
+    while f5 < best:
+        f35 = f5
+        while f35 < best:
+            best = min(best, f35 << (-(-n // f35) - 1).bit_length())
+            f35 *= 3
+        f5 *= 5
+    return best
+
+
+def _limb_spectra(v: np.ndarray, plan: _LimbPlan) -> np.ndarray:
+    """The real FFTs of the limbs of v, lowest limb first."""
+    mask = (1 << plan.width) - 1
+    limbs = [(v >> (plan.width * i)) & mask for i in range(plan.limbs)]
+    return np.fft.rfft(np.stack(limbs), plan.size)
+
+
+def _limb_product(fa: np.ndarray, fb: np.ndarray, plan: _LimbPlan, p: int) -> np.ndarray:
+    """The product mod p of two vectors from their limb spectra."""
+    m = plan.limbs
+    if m == 1:
+        prods = fa * fb
+    else:
+        prods = np.zeros((2 * m - 1, fa.shape[1]), dtype=fa.dtype)
+        for i in range(m):
+            prods[i : i + m] += fa[i] * fb
+    limbs = np.fft.irfft(prods, plan.size)[:, : plan.n]
     exact = np.rint(limbs)
     if np.abs(limbs - exact).max() >= 0.25:
-        raise InternalInvariantError(f"limb FFT product of length {n} mod {p} is not exact")
-    lo, mid, hi = exact.astype(np.int64) % p
-    return (lo + (mid << 8) + (hi << 16)) % p
+        raise InternalInvariantError(f"limb FFT product of length {plan.n} mod {p} is not exact")
+    # each limb product is below 2**51 and the running value below 2**31,
+    # so recombining from the top limb stays within int64
+    exact = exact.astype(np.int64)
+    out = exact[-1] % p
+    for row in exact[-2::-1]:
+        out = ((out << plan.width) + row) % p
+    return out
 
 
 def _series_inverse(rev: np.ndarray, m: int, seed: np.ndarray, p: int, fold: np.ndarray) -> np.ndarray:

@@ -85,6 +85,16 @@ def test_inv_of_zero():
         make_extension_field(7, 3).inv((0, 0, 0))
 
 
+def test_inv_rejects_a_value_that_is_not_an_element():
+    # 3 is a digit outside [0, 3), (1, 0, 0) has the wrong length for F_9
+    F9 = make_extension_field(3, 2)
+    for bad in [(3, 0), (1, 0, 0)]:
+        with pytest.raises(PreconditionViolated):
+            F9.inv(bad)
+    with pytest.raises(PreconditionViolated):
+        make_prime_field(7).inv(7)
+
+
 def test_extension_inverse_of_every_unit():
     for p, k in [(2, 2), (2, 3), (3, 2), (2, 8), (3, 5), (7, 3)]:
         F = make_extension_field(p, k)

@@ -17,6 +17,7 @@ from tnomial.poly import (
     FFT_MIN_LENGTH,
     TNomial,
     _convolve_mod_p,
+    _limb_plan,
     build,
     count_roots_bruteforce,
     count_roots_gcd,
@@ -126,7 +127,8 @@ def test_count_roots_binomial_closed_form():
 def test_count_roots_gcd_matches_bruteforce_random():
     rng = random.Random(5)
     # products up to p = 257 stay below FFT_MIN_LENGTH; at p = 2003 the
-    # long ones go through the limb FFT
+    # long ones go through the one-limb FFT, and the Barrett quotients
+    # reuse the spectrum of the inverse
     for p, polys in [(7, 40), (13, 40), (101, 40), (257, 40), (2003, 12)]:
         F = make_prime_field(p)
         for _ in range(polys):
@@ -138,7 +140,7 @@ def test_count_roots_gcd_matches_bruteforce_random():
             except ZeroFunction:
                 continue
             assert count_roots_gcd(f) == count_roots_bruteforce(f), terms
-    # full degree q - 2 with every coefficient p - 1: the largest limb sums
+    # full degree q - 2 with every coefficient p - 1: the largest two-limb sums
     F = make_prime_field(65521)
     for mid in (1, rng.randrange(2, 65519)):
         f = build(F, [(65519, -1), (mid, -1), (0, -1)])
@@ -156,6 +158,44 @@ def test_convolve_mod_p_is_exact_at_the_largest_oracle_length():
     assert np.array_equal(_convolve_mod_p(a, a.copy(), p), expected)
     short = a[: FFT_MIN_LENGTH // 4]
     assert np.array_equal(_convolve_mod_p(short, short, p), np.convolve(short, short) % p)
+
+
+def _constant_convolution(la, lb, c):
+    """np.convolve of two constant-c vectors of lengths la and lb: entry s
+    counts the pairs i + j = s."""
+    s = np.arange(la + lb - 1)
+    return c * (np.minimum(s, la - 1) - np.maximum(0, s - lb + 1) + 1)
+
+
+@pytest.mark.parametrize("p, longest", [(6007, 134250), (65521, 3048)])
+def test_convolve_mod_p_one_limb_at_the_longest_length_the_bound_admits(p, longest):
+    assert _limb_plan(longest, longest, p).limbs == 1
+    assert _limb_plan(longest + 1, longest + 1, p).limbs == 2
+    a = np.full(longest, p - 1, dtype=np.int64)
+    if longest < 10000:
+        expected = np.convolve(a, a) % p
+        assert np.array_equal(expected, _constant_convolution(longest, longest, (p - 1) ** 2) % p)
+    else:  # np.convolve would take seconds; the closed form is exact
+        expected = _constant_convolution(longest, longest, (p - 1) ** 2) % p
+    assert np.array_equal(_convolve_mod_p(a, a, p), expected)
+    assert np.array_equal(_convolve_mod_p(a, a.copy(), p), expected)
+
+
+def test_convolve_mod_p_takes_three_limbs_below_2_to_the_31():
+    p = 2**31 - 1
+    rng = np.random.default_rng(31)
+    a = rng.integers(p - 2**20, p, 2**15)
+    a[::7] = p - 1
+    b = rng.integers(0, p, 64)
+    b[0] = p - 1
+    assert _limb_plan(len(a), len(b), p).limbs == 3
+    expected = np.convolve(a.astype(object), b.astype(object)) % p
+    assert np.array_equal(_convolve_mod_p(a, b, p), expected.astype(np.int64))
+    # short products too, where np.convolve's sums would pass 2**63
+    short = a[:9]
+    assert _limb_plan(len(short), len(b), p) is not None
+    expected = np.convolve(short.astype(object), b.astype(object)) % p
+    assert np.array_equal(_convolve_mod_p(short, b, p), expected.astype(np.int64))
 
 
 def _with_second_modulus(p, k):
@@ -185,7 +225,7 @@ def test_count_roots_gcd_extension():
     rng = random.Random(11)
     # F_4 has one irreducible quadratic only; the exponent span is capped
     # so the Euclid on F_{2^12} and F_{3^7} stays quick, and it still
-    # packs products past FFT_MIN_LENGTH
+    # packs products past FFT_MIN_LENGTH into the one-limb FFT
     for p, k in [(2, 2), (2, 3), (3, 2), (5, 2), (3, 3), (7, 2), (2, 6), (3, 4), (2, 12), (3, 7)]:
         for F in _with_second_modulus(p, k):
             span = min(F.q - 1, 160)
