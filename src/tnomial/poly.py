@@ -391,10 +391,6 @@ def _convolve_mod_p(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
     return _limb_product(fa, fa if b is a else _limb_spectra(b, plan), plan, p)
 
 
-# Unit roundoff of float64, for the rounding bound of the limb FFT.
-_EPS = 2.0**-53
-
-
 class _LimbPlan(NamedTuple):
     """How _convolve_mod_p splits a product of length n: into `limbs`
     limbs of `width` bits each, multiplied by real FFTs of length `size`."""
@@ -416,8 +412,9 @@ def _limb_plan(la: int, lb: int, p: int) -> _LimbPlan | None:
     bounds the error of each coefficient by |x| |y| ((1 + e)**3m
     (1 + e sqrt 5)**(3m + 1) (1 + b)**3m - 1), e = 2**-53, with roots of
     unity accurate to b <= e; to first order that is below
-    |x| |y| e (13 m + 3).  Taken with m = ceil(log2 N) and summed over the
-    at most L limb products in one output limb, the bound
+    |x| |y| e (13 m + 3).  The proof is for N = 2**m; the bound is applied
+    here with m = ceil(log2 N) to the 5-smooth N of _smooth_size as well.
+    Summed over the at most L limb products in one output limb, the bound
     L (2**w - 1)**2 sqrt(la lb) e (13 m + 3) must stay below 1/4, so that
     rounding recovers every limb product; the product checks that it did.
     """
@@ -427,7 +424,7 @@ def _limb_plan(la: int, lb: int, p: int) -> _LimbPlan | None:
     if p > 2**31:
         raise InternalInvariantError(f"the limb FFT recombines in int64 and needs p <= 2**31, got {p}")
     size = _smooth_size(n)
-    scale = sqrt(la * lb) * _EPS * (13 * (size - 1).bit_length() + 3)
+    scale = sqrt(la * lb) * 2.0**-53 * (13 * (size - 1).bit_length() + 3)
     bits = (p - 1).bit_length()
     for limbs in range(1, bits + 1):
         width = -(-bits // limbs)
