@@ -472,26 +472,15 @@ def _rhs(r: int, gamma: float) -> float:
 # -- random sampling ----------------------------------------------------------
 
 
-def _nonzero_rows(rng, take: int, p: int, n: int) -> np.ndarray:
-    """take uniform coefficient rows over F_p; all-zero rows are redrawn."""
-    coefs = rng.integers(0, p, size=(take, n), dtype=np.int64)
+def _nonzero_rows(rng, take: int, q: int, n: int) -> np.ndarray:
+    """take uniform element-label rows over F_q; all-zero rows are redrawn,
+    so these are the first take nonzero rows of rng's stream, out of order."""
+    coefs = rng.integers(0, q, size=(take, n), dtype=np.int64)
     while True:
         dead = np.flatnonzero(~coefs.any(axis=1))
         if len(dead) == 0:
             return coefs
-        coefs[dead] = rng.integers(0, p, size=(len(dead), n), dtype=np.int64)
-
-
-def _nonzero_label_rows(rng, take: int, q: int, n: int) -> np.ndarray:
-    """take uniform element-label rows over F_q, drawn one row at a time;
-    an all-zero row is redrawn at once."""
-    labels = np.empty((take, n), dtype=np.int64)
-    for row in labels:
-        while True:
-            row[:] = rng.integers(0, q, size=n)
-            if row.any():
-                break
-    return labels
+        coefs[dead] = rng.integers(0, q, size=(len(dead), n), dtype=np.int64)
 
 
 def _sampled_counts(field: FieldSpec, samples: int, seed: int, ells) -> Counter:
@@ -507,10 +496,9 @@ def _sampled_counts(field: FieldSpec, samples: int, seed: int, ells) -> Counter:
         raise FieldTooLarge(f"sampling ceiling is q <= {SAMPLING_FIELD_LIMIT}")
     _require_exact_float64(n * field.k, field.p)
     rng = np.random.default_rng(seed)
-    draw = _nonzero_rows if field.k == 1 else _nonzero_label_rows
     hist: Counter = Counter()
     for take in _blocks(samples, n * field.k):
-        labels = np.ascontiguousarray(draw(rng, take, q, n).T)
+        labels = np.ascontiguousarray(_nonzero_rows(rng, take, q, n).T)
         counts = _vanishing_counts(field, range(n), labels, ells)
         for c, occurrences in zip(*np.unique(counts, return_counts=True)):
             hist[int(c)] += int(occurrences)

@@ -551,132 +551,84 @@ def has_nonzero_root(f: TNomial) -> bool:
 
 # -- text form ---------------------------------------------------------------
 #
-# term ::= [coefficient '*'] 'x' ['^' exponent] | coefficient
-# polynomial ::= ['-'] term (('+' | '-') term)*
-# coefficient ::= integer | '[' integer (',' integer)* ']'
+# polynomial  ::= [sign] term (sign term)*
+# term        ::= coefficient | [coefficient ['*']] 'x' ['^' integer]
+# coefficient ::= natural | '[' integer (',' integer)* ']'
+# integer     ::= [sign] natural
+# sign        ::= '+' | '-'
 #
-# Bracketed coefficients are extension-field vectors in ascending degree.
-# Output always uses canonical residues joined by ' + '.
+# A natural is what int() reads without a sign: decimal digits, single
+# '_' between them.  Blanks may surround every token but may not split an
+# integer.  A bracket holds one integer over F_p and at most k over
+# F_{p^k}, the coefficient vector in ascending degree.  Output always uses
+# canonical residues joined by ' + '.
 
 
 def parse_tnomial(field: FieldSpec, text: str) -> TNomial:
-    """Parse the text form of a t-nomial.  Raises ParseError on bad syntax."""
-    chunks = _split_terms(text)
-    if not chunks:
-        raise ParseError("empty polynomial")
+    """Parse the text form of a t-nomial.  Raises ParseError on bad syntax
+    outside the terms first, then per term in text order ParseError or
+    ZeroCoefficient, then build's ZeroFunction."""
     terms = []
-    for sign, chunk in chunks:
+    for sign, chunk in _split_terms(text):
         a, c = _parse_term(field, chunk)
-        if sign < 0:
-            c = field.neg(c)
         if c == field.zero:
             raise ZeroCoefficient(f"zero coefficient in term {chunk!r}")
-        terms.append((a, c))
+        terms.append((a, field.neg(c) if sign == "-" else c))
     return build(field, terms)
 
 
-def _split_terms(text: str):
-    out = []
-    cur = []
-    sign = 1
-    depth = 0
-    prev = ""
-    for ch in text:
+def _split_terms(text: str) -> list:
+    """[(sign, term text)]: a term ends at a '+' or '-' outside brackets
+    unless the last non-blank character before it is one of '^*+-'."""
+    s = text.strip()
+    if not s.startswith(("+", "-")):
+        s = "+" + s
+    cuts, depth, last = [0], 0, s[0]
+    for i, ch in enumerate(s):
         if ch == "[":
             depth += 1
         elif ch == "]":
             depth -= 1
             if depth < 0:
-                raise ParseError("unbalanced ']'")
-        if ch in "+-" and depth == 0 and prev not in ("", "^", "*", "+", "-"):
-            out.append((sign, "".join(cur).strip()))
-            cur = []
-            sign = 1 if ch == "+" else -1
-            prev = ""
-            continue
-        if ch in "+-" and depth == 0 and prev == "":
-            # leading sign of the very first term
-            if cur or out:
-                raise ParseError(f"misplaced sign in {text!r}")
-            sign = 1 if ch == "+" else -1
-            continue
-        cur.append(ch)
+                raise ParseError(f"unbalanced ']' in {text!r}")
+        elif ch in "+-" and depth == 0 and last not in "^*+-":
+            cuts.append(i)
         if not ch.isspace():
-            prev = ch
-    if depth != 0:
-        raise ParseError("unbalanced '['")
-    tail = "".join(cur).strip()
-    if tail:
-        out.append((sign, tail))
-    elif out or sign != 1:
-        raise ParseError(f"dangling operator in {text!r}")
-    return out
+            last = ch
+    if depth:
+        raise ParseError(f"unbalanced '[' in {text!r}")
+    terms = [(s[i], s[i + 1 : j].strip()) for i, j in zip(cuts, cuts[1:] + [len(s)])]
+    if any(not t or t[0] in "+-" for _, t in terms):
+        raise ParseError(f"missing term or extra sign in {text!r}")
+    return terms
 
 
 def _parse_term(field: FieldSpec, chunk: str):
-    s = chunk.strip()
-    if not s:
-        raise ParseError("empty term")
-    coeff_txt = None
-    if "*" in s:
-        coeff_txt, _, s = s.partition("*")
-        coeff_txt = coeff_txt.strip()
-        s = s.strip()
-        if not coeff_txt or not s:
-            raise ParseError(f"malformed term {chunk!r}")
-    if s.startswith("x"):
-        rest = s[1:].strip()
-        if rest == "":
-            a = 1
-        elif rest.startswith("^"):
-            a = _parse_int(rest[1:].strip(), chunk)
-        else:
-            # allow juxtaposed "2x" only when the 2 was not already split by '*'
-            raise ParseError(f"malformed term {chunk!r}")
-        c = _parse_coefficient(field, coeff_txt) if coeff_txt is not None else field.one
-        return a, c
-    if coeff_txt is not None:
+    """(exponent, coefficient) of one term's text."""
+    head, x, tail = chunk.partition("x")
+    if not x:
+        return 0, _parse_coefficient(field, head)
+    head, tail = head.strip(), tail.strip()
+    if tail and tail[0] != "^":
         raise ParseError(f"malformed term {chunk!r}")
-    # bare coefficient, possibly juxtaposed with x ("3x^2")
-    for i, ch in enumerate(s):
-        if ch == "x":
-            c = _parse_coefficient(field, s[:i].strip())
-            rest = s[i + 1 :].strip()
-            if rest == "":
-                return 1, c
-            if rest.startswith("^"):
-                return _parse_int(rest[1:].strip(), chunk), c
-            raise ParseError(f"malformed term {chunk!r}")
-    return 0, _parse_coefficient(field, s)
+    c = _parse_coefficient(field, head.removesuffix("*").strip()) if head else field.one
+    return (_parse_int(tail[1:]) if tail else 1), c
 
 
-def _parse_int(s: str, chunk: str) -> int:
+def _parse_int(s: str) -> int:
     try:
         return int(s)
     except ValueError:
-        raise ParseError(f"bad integer in term {chunk!r}") from None
+        raise ParseError(f"bad integer {s!r}") from None
 
 
 def _parse_coefficient(field: FieldSpec, s: str) -> Element:
-    if not s:
-        raise ParseError("missing coefficient")
-    if s.startswith("["):
-        if not s.endswith("]"):
-            raise ParseError(f"malformed coefficient {s!r}")
-        body = s[1:-1].strip()
-        if not body:
-            raise ParseError(f"empty coefficient vector {s!r}")
-        parts = [x.strip() for x in body.split(",")]
-        vec = [_parse_int(x, s) for x in parts]
-        if field.k == 1:
-            if len(vec) != 1:
-                raise ParseError("vector coefficient in a prime field")
-            return vec[0] % field.p
-        if len(vec) > field.k:
-            raise ParseError(f"coefficient vector longer than degree {field.k}")
-        return tuple(v % field.p for v in vec) + (0,) * (field.k - len(vec))
-    v = _parse_int(s, s)
-    return v % field.p if field.k == 1 else (v % field.p,) + (0,) * (field.k - 1)
+    if not (s.startswith("[") and s.endswith("]")):
+        return _coerce_coefficient(field, _parse_int(s))
+    c = tuple(_parse_int(v) for v in s[1:-1].split(","))
+    if len(c) > field.k:
+        raise ParseError(f"coefficient vector {s!r} longer than degree {field.k}")
+    return _coerce_coefficient(field, c[0] if field.k == 1 else c)
 
 
 def format_tnomial(f: TNomial) -> str:

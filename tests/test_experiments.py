@@ -34,6 +34,7 @@ from tnomial.experiments import (
     _orbit_reps,
     _pairing_primes,
     _poly_from_column,
+    _sampled_counts,
     _root_count_vector,
     _vanishing_counts,
 )
@@ -598,6 +599,12 @@ def test_vanishing_sampler_extension_field():
     assert est.bound == 1 / 9  # 8 has no odd prime divisors
     assert 0.0 <= est.estimate <= 1.0
     assert est == sample_vanishing_proportion(F9, 60, seed=4)
+
+
+def test_sampled_counts_frozen_over_f4():
+    # 38 of the first 3000 rows over F_4 are all zero, so this pins the redraw
+    hist = _sampled_counts(make_extension_field(2, 2), 3000, 0, (1,))
+    assert hist == {0: 1304, 1: 1293, 2: 403}
 
 
 def test_vanishing_sampler_validation():

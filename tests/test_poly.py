@@ -349,6 +349,8 @@ def test_parse_basic():
     assert k.terms == ((1, 1),)
     c = parse_tnomial(F7, "5")
     assert c.terms == ((0, 5),)
+    for text in ["3 x", "[3]*x"]:  # juxtaposed blank; a one-entry bracket over F_p
+        assert parse_tnomial(F7, text).terms == ((1, 3),), text
 
 
 def test_parse_signs():
@@ -358,6 +360,13 @@ def test_parse_signs():
     assert g.terms == ((0, 2), (1, 6))
     h = parse_tnomial(F7, "x^5 - x^2")
     assert h.terms == ((2, 6), (5, 1))
+    assert parse_tnomial(F7, "+x").terms == ((1, 1),)
+    assert parse_tnomial(F7, "[-1]*x").terms == ((1, 6),)
+    assert parse_tnomial(F7, "x^-1").terms == ((5, 1),)
+    assert parse_tnomial(F7, "x^+2").terms == ((2, 1),)
+    # blanks before the leading sign are ignored like any other blanks
+    for text in [" -x + 1", "\t-x+1"]:
+        assert parse_tnomial(F7, text) == parse_tnomial(F7, "-x + 1"), text
 
 
 def test_parse_extension_vectors():
@@ -375,7 +384,10 @@ def test_parse_whitespace_and_exponent_reduction():
 
 def test_parse_rejects():
     for bad in ["", "  ", "x +", "+ x + +1", "x^", "x^a", "3*", "*x", "[1,2*x",
-                "x2", "3y", "x^2 2", "[]*x", "1 + [1,"]:
+                "x2", "3y", "x^2 2", "[]*x", "1 + [1,", "x + -1", "2*-x", "x x",
+                "x*2", "- -x",
+                # one leading sign at most
+                "--x", "-+x", "+-x"]:
         with pytest.raises(ParseError):
             parse_tnomial(F7, bad)
     with pytest.raises(ZeroCoefficient):
