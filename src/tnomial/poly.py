@@ -560,8 +560,7 @@ def has_nonzero_root(f: TNomial) -> bool:
 # A natural is what int() reads without a sign: decimal digits, single
 # '_' between them.  Blanks may surround every token but may not split an
 # integer.  A bracket holds one integer over F_p and at most k over
-# F_{p^k}, the coefficient vector in ascending degree.  Output always uses
-# canonical residues joined by ' + '.
+# F_{p^k}, the coefficient vector in ascending degree.
 
 
 def parse_tnomial(field: FieldSpec, text: str) -> TNomial:

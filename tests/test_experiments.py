@@ -34,8 +34,8 @@ from tnomial.experiments import (
     _orbit_reps,
     _pairing_primes,
     _poly_from_column,
-    _sampled_counts,
     _root_count_vector,
+    _sampled_counts,
     _vanishing_counts,
 )
 from tnomial.field import make_extension_field, make_prime_field

@@ -390,8 +390,9 @@ def test_parse_rejects():
                 "--x", "-+x", "+-x"]:
         with pytest.raises(ParseError):
             parse_tnomial(F7, bad)
-    with pytest.raises(ZeroCoefficient):
-        parse_tnomial(F7, "0*x + 1")
+    for text in ["0*x + 1", "0*x + x^"]:  # each term is read, then checked for zero
+        with pytest.raises(ZeroCoefficient):
+            parse_tnomial(F7, text)
     with pytest.raises(ZeroFunction):
         parse_tnomial(F7, "x - x")
     with pytest.raises(ParseError):
