@@ -49,12 +49,23 @@ EXIT_BUDGET = 3
 EXIT_INTERNAL = 4
 
 
+class _SubcommandParser(argparse.ArgumentParser):
+    """A subcommand parser that reads a word starting with one '-', such
+    as the polynomial '-x+1', as an argument rather than as an unknown
+    option.  Every subcommand option but -h is spelt with two dashes."""
+
+    def _parse_optional(self, arg_string):
+        if arg_string[:1] == "-" and arg_string[1:2] not in ("", "-", "h"):
+            return None
+        return super()._parse_optional(arg_string)
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="tnomial",
         description="Exact root-structure analysis of sparse polynomials over F_q.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
+    sub = parser.add_subparsers(dest="command", required=True, parser_class=_SubcommandParser)
 
     pa = sub.add_parser("analyze", help="full structural report for one polynomial")
     pa.add_argument("--p", type=int, required=True, help="field characteristic (prime)")

@@ -12,9 +12,11 @@ group, and the degree of gcd(f, x**(q-1) - 1) computed by modular
 exponentiation.  They share no code beyond the field primitives.  The
 scan evaluates f at every unit x = g**j at once by Zech-logarithm table
 lookups (root_mask), the same way for every field.  Its coefficients are
-nonzero, as a TNomial's are, and ZERO_LOG marks a partial sum that
-cancels.  The root count, the vanishing cosets and the coset
-decomposition are read off its mask.
+nonzero, as a TNomial's are.  It runs in int32 with no modulo over the
+units: each term's logs are one arithmetic progression mod q-1, the
+outer sum of two progressions about sqrt(q-1) long, and the units where
+a partial sum cancels are kept as a sparse index array.  The root count,
+the vanishing cosets and the coset decomposition are read off its mask.
 
 The gcd oracle never reads those tables.  It raises x to the power q-1
 mod f by square and multiply with exact products mod p: np.convolve on
@@ -32,7 +34,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from math import sqrt
+from math import isqrt, prod, sqrt
 from typing import NamedTuple
 
 import numpy as np
@@ -147,7 +149,7 @@ def count_roots_bruteforce(f: TNomial) -> int:
 
 # -- log-domain evaluation on the unit group ---------------------------------
 
-ZERO_LOG = -1  # the discrete log of the zero element, in tables and kernel sums
+ZERO_LOG = -1  # the discrete log of the zero element: log[0], and zech[j] at g**j = -1
 
 _TABLE_CHUNK = 1 << 13
 
@@ -200,6 +202,10 @@ def log_tables(field: FieldSpec) -> LogTables:
     return tables
 
 
+# The kernel adds two logs below q-1 <= BRUTE_FORCE_LIMIT in int32 (and in
+# its uint32 view), so it needs 2 * BRUTE_FORCE_LIMIT < 2**31.
+
+
 def root_mask(field: FieldSpec, exponents, coeff_logs) -> np.ndarray:
     """Root mask of sum_i c_i x**a_i: entry j is True iff it is zero at g**j.
 
@@ -207,32 +213,70 @@ def root_mask(field: FieldSpec, exponents, coeff_logs) -> np.ndarray:
     one polynomial or (B, t) for a batch; the mask is (q-1,) or (B, q-1).
     Term i at g**j has log (log c_i + a_i*j) mod q-1, and terms are added
     by Zech's logarithm, log(X + Y) = log X + zech[log Y - log X].  A
-    partial sum that cancels is ZERO_LOG; adding a term to it gives the
-    term.  A negative log, such as the ZERO_LOG of a zero coefficient,
-    raises InternalInvariantError.
+    negative log, such as the ZERO_LOG of a zero coefficient, raises
+    InternalInvariantError.
+
+    The kernel runs in int32 with no modulo over the units.  Writing
+    j = r*w + s with w = ceil(sqrt(q-1)), a term's logs are the outer sum
+    of a row progression a_i*w*r mod q-1 and a column progression
+    (log c_i + a_i*s) mod q-1, each about sqrt(q-1) long, made one term
+    at a time; the h*w >= q-1 slots past the last unit just continue the
+    progression.  A sum x of two logs, in [0, 2(q-1)), is wrapped once by
+    the unsigned minimum min(x, x - (q-1)), and log Y - log X, in
+    (-(q-1), q-1), indexes the Zech table as it is: numpy wraps a
+    negative index once.  The units where a partial sum cancels are kept
+    as a sparse index array; at the next term the Zech log gathered there
+    is zeroed and the term itself is put back.
     """
     n = field.q - 1
     zech = log_tables(field).zech
     logs = np.asarray(coeff_logs, dtype=np.int64)
-    if (logs < 0).any():
+    if logs.min() < 0:
         raise InternalInvariantError("root_mask takes the logs of nonzero coefficients only")
-    j = np.arange(n, dtype=np.int64)
-    terms = ((lc[..., None] + (a % n) * j) % n for a, lc in zip(exponents, logs.T))
-    acc = next(terms)
-    for term in terms:
-        z = zech[(term - acc) % n]
-        total = (acc + z) % n
-        total[z == ZERO_LOG] = ZERO_LOG
-        np.copyto(total, term, where=acc == ZERO_LOG)
-        acc = total
-    return acc == ZERO_LOG
+    w = isqrt(n - 1) + 1
+    h = -(-n // w)
+    steps = np.array([a % n for a in exponents], dtype=np.int64)[:, None] * np.arange(w)
+    rows = (steps * w % n).astype(np.int32)[:, :h, None]
+    cols = ((steps + logs[..., None]) % n).astype(np.int32)[..., None, :]
+    shape = logs.shape[:-1]
+    size = prod(shape) * h * w
+    term, acc = np.empty((2, size), dtype=np.int32)
+    grid = term.reshape(shape + (h, w))
+    diff = np.empty(size, dtype=np.intp)  # the index type: the gather casts nothing
+    spare = diff.view(np.uint32)[:size]
+    tu, au, un = term.view(np.uint32), acc.view(np.uint32), np.uint32(n)
+    last = len(rows) - 1
+    cancelled = None
+    for i, (r, c) in enumerate(zip(rows, cols.swapaxes(0, -3))):
+        np.add(r, c, out=grid)
+        np.subtract(tu, un, out=spare)
+        if i == 0:
+            np.minimum(tu, spare, out=au)
+            continue
+        np.minimum(tu, spare, out=tu)
+        if cancelled is not None:
+            acc[cancelled] = term[cancelled]
+        z = zech[np.subtract(term, acc, out=diff)]
+        if cancelled is not None:
+            z[cancelled] = 0
+        zero = z == ZERO_LOG
+        if i == last:
+            return zero.reshape(shape + (-1,))[..., :n]
+        cancelled = zero.nonzero()[0]
+        if not len(cancelled):
+            cancelled = None
+        np.add(acc, z, out=acc)
+        np.subtract(au, un, out=spare)
+        np.minimum(au, spare, out=au)
+        del z, zero  # before the next gather allocates
+    return np.zeros(shape + (n,), dtype=bool)
 
 
 def roots_on_units(f: TNomial) -> np.ndarray:
     """root_mask of f; raises FieldTooLarge when q-1 > 2**22."""
     F = f.field
     log = log_tables(F).log
-    return root_mask(F, f.exponents, [log[F.element_to_int(c)] for c in f.coefficients])
+    return root_mask(F, f.exponents, log[[F.element_to_int(c) for c in f.coefficients]])
 
 
 # -- gcd oracle: x**(q-1) mod f by exact products ----------------------------

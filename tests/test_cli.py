@@ -71,6 +71,34 @@ def test_analyze_is_byte_deterministic(capsys):
     assert first == second
 
 
+@pytest.mark.parametrize("text", ["-x+1", "-3x+1", "-[1]*x"])
+def test_analyze_polynomial_that_starts_with_a_dash(capsys, text):
+    """A polynomial written with a leading '-' and no blank is the
+    polynomial, not an unknown option: the same bytes as after '--'."""
+    code, out, err = run_cli(capsys, "analyze", "--p", "7", "--", text)
+    assert (code, err) == (EXIT_OK, "")
+    assert run_cli(capsys, "analyze", "--p", "7", text) == (EXIT_OK, out, "")
+    assert run_cli(capsys, "analyze", text, "--p", "7") == (EXIT_OK, out, "")
+
+
+def test_analyze_options_around_a_dash_polynomial(tmp_path, capsys):
+    code, expected, _ = run_cli(
+        capsys, "analyze", "--p", "3", "--k", "2", "--modulus", "1,0,1", "--", "-x^3+x+1"
+    )
+    assert code == EXIT_OK
+    target = tmp_path / "report.json"
+    # --mod is argparse's abbreviation of --modulus
+    argv = ["analyze", "-x^3+x+1", "--p", "3", "--k=2", "--mod", "1,0,1", "--out", str(target)]
+    assert run_cli(capsys, *argv) == (EXIT_OK, "", "")
+    assert target.read_text(encoding="utf-8") == expected
+    for flag in ("-h", "--help"):
+        code, out, _ = run_cli(capsys, "analyze", flag)
+        assert code == EXIT_OK
+        assert out.startswith("usage: tnomial analyze")
+    assert run_cli(capsys, "analyze", "--p", "7", "--bogus", "x")[0] == EXIT_INPUT
+    assert run_cli(capsys, "analyze", "--p", "7", "-x+1", "-x")[0] == EXIT_INPUT
+
+
 def test_analyze_out_file(tmp_path, capsys):
     target = tmp_path / "report.json"
     code, out, _ = run_cli(
@@ -328,3 +356,13 @@ def test_python_dash_m_invocation():
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["C"] == 3
+    runs = [
+        subprocess.run(
+            [sys.executable, "-m", "tnomial", "analyze", "--p", "7", *dash, "-x+1"],
+            capture_output=True,
+            env={**os.environ, "PYTHONPATH": path},
+        )
+        for dash in ([], ["--"])
+    ]
+    assert [r.returncode for r in runs] == [0, 0]
+    assert runs[0].stdout == runs[1].stdout

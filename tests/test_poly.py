@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from tnomial.errors import (
 )
 from tnomial.field import make_extension_field, make_prime_field
 from tnomial.poly import (
+    BRUTE_FORCE_LIMIT,
     FFT_MIN_LENGTH,
     TNomial,
     _convolve_mod_p,
@@ -324,6 +326,115 @@ def test_root_mask_rejects_a_zero_coefficient():
         root_mask(F7, (0, 1, 3), log[[1, 0, 2]])
     with pytest.raises(InternalInvariantError):
         root_mask(F7, (0, 1), log[[[1, 2], [0, 3]]])
+
+
+def _planted_cancellations(field, c_log, a, tail=()):
+    """Exponents and coefficient logs, in summation order, of
+    1 + x^{n/2} + c x^a + c x^{a+n/2} + tail, n = q-1 even: the partial
+    sums vanish where x^{n/2} = -1 after the second and the fourth term."""
+    n = field.q - 1
+    exps = [0, n // 2, a, a + n // 2] + [b for b, _ in tail]
+    return exps, [0, 0, c_log, c_log] + [lc for _, lc in tail]
+
+
+def _evaluate_mask(field, exps, logs, positions):
+    """evaluate(f, g**j) == 0 at the given unit positions j."""
+    exp = log_tables(field).exp
+    f = build(field, [(a, field.element_from_int(int(exp[lc]))) for a, lc in zip(exps, logs)])
+    return [evaluate(f, field.element_from_int(int(exp[j]))) == field.zero for j in positions]
+
+
+@pytest.mark.parametrize("field", [F13, make_prime_field(101), make_extension_field(3, 4)], ids=lambda F: f"q{F.q}")
+def test_root_mask_partial_sums_that_cancel_on_half_the_units(field):
+    """Half the partial sums cancel after the second term; the third term
+    must replace them, and the fourth cancels the same half again, with
+    and without a fifth term after it."""
+    n = field.q - 1
+    rng = random.Random(n)
+    for _ in range(6):
+        a = rng.choice([b for b in range(1, n) if b != n // 2])
+        c_log = rng.randrange(n)
+        tails = [(), ((rng.randrange(n), rng.randrange(n)),)]
+        for tail in tails:
+            exps, logs = _planted_cancellations(field, c_log, a, tail)
+            got = root_mask(field, exps, logs)
+            assert got.tolist() == _evaluate_mask(field, exps, logs, range(n))
+            if not tail:
+                assert np.count_nonzero(got) >= n // 2
+
+
+def test_root_mask_batch_rows_cancel_at_different_positions():
+    """A (B, t) batch over F_13 of (1 + u x^3)(1 + c x^5) + d x^2, written
+    as five terms.  1 + u x^3 vanishes at g**j for j = (6 - log u)/3 mod 4,
+    so the rows cancel after the second term at four different sets of
+    units, and after the fourth at the same sets again."""
+    n = F13.q - 1
+    exps = [0, 3, 5, 8, 2]
+    logs = np.array([[0, u, c, (c + u) % n, d] for u, c, d in [(0, 1, 5), (3, 4, 0), (6, 7, 11), (9, 0, 3), (3, 9, 7)]])
+    batch = root_mask(F13, exps, logs)
+    assert batch.shape == (len(logs), n)
+    for row, got in zip(logs, batch):
+        assert got.tolist() == _evaluate_mask(F13, exps, row, range(n))
+        assert got.tolist() == root_mask(F13, exps, row).tolist()
+    first = root_mask(F13, exps[:2], logs[:, :2])
+    assert len({tuple(np.flatnonzero(m)) for m in first}) == 4
+    assert all(np.count_nonzero(m) == 3 for m in first)
+
+
+@pytest.mark.parametrize("field", [make_prime_field(65537), make_extension_field(2, 12)], ids=lambda F: f"q{F.q}")
+def test_root_mask_matches_evaluation_at_sampled_and_flagged_units(field):
+    """Random polynomials, some made to vanish at a chosen unit, checked at
+    a seeded sample of units and at every unit the mask flags."""
+    n = field.q - 1
+    rng = random.Random(field.q)
+    tables = log_tables(field)
+    for t in (2, 3, 5, 8, 13):
+        exps = rng.sample(range(n), t)
+        logs = [rng.randrange(n) for _ in range(t)]
+        if t % 2:
+            # move the last coefficient so that f(g**j0) = 0
+            j0 = rng.randrange(n)
+            f = build(field, [(a, field.element_from_int(int(tables.exp[lc]))) for a, lc in zip(exps[:-1], logs[:-1])])
+            x0 = field.element_from_int(int(tables.exp[j0]))
+            rest = evaluate(f, x0)
+            if rest != field.zero:
+                c = field.mul(field.neg(rest), field.inv(field.pow(x0, exps[-1])))
+                logs[-1] = int(tables.log[field.element_to_int(c)])
+        mask = root_mask(field, exps, logs)
+        flagged = np.flatnonzero(mask).tolist()
+        sample = rng.sample(range(n), 200)
+        assert mask[sample].tolist() == _evaluate_mask(field, exps, logs, sample)
+        assert all(_evaluate_mask(field, exps, logs, flagged))
+    if field.p > 2:
+        exps, logs = _planted_cancellations(field, rng.randrange(n), rng.randrange(1, n // 2))
+        mask = root_mask(field, exps, logs)
+        flagged = np.flatnonzero(mask)
+        assert len(flagged) >= n // 2
+        sample = rng.sample(range(n), 200)
+        assert mask[sample].tolist() == _evaluate_mask(field, exps, logs, sample)
+        assert all(_evaluate_mask(field, exps, logs, flagged[:: max(1, len(flagged) // 500)].tolist()))
+
+
+def test_root_mask_generates_terms_lazily():
+    """64 terms over F_65537 peak below eight int32 arrays over the units:
+    the kernel holds a few unit-length buffers, never all the terms."""
+    field = make_prime_field(65537)
+    n = field.q - 1
+    rng = random.Random(64)
+    exps, logs = rng.sample(range(n), 64), [rng.randrange(n) for _ in range(64)]
+    log_tables(field)  # built and cached outside the measurement
+    tracemalloc.start()
+    try:
+        root_mask(field, exps, logs)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * n * 4
+
+
+def test_scan_limit_leaves_int32_headroom():
+    # root_mask adds two logs below q-1 <= BRUTE_FORCE_LIMIT in int32
+    assert 2 * BRUTE_FORCE_LIMIT < 2**31
 
 
 def test_log_tables_size_and_limit():
