@@ -26,10 +26,14 @@ and maxima carry over with the orbit size as weight.  The representative
 of each affine orbit is its first set containing 0 in lexicographic order,
 which keeps the `max-r` witness the one a translation-only walk finds.
 
-One kernel, `_vanishing_counts`, counts the cosets {x : x**l = beta} on
-which each coefficient column vanishes, on F_p and F_{p^k}.  Over the
-primes l | q-1 a nonzero count means C > 1 (`max-r`, `conjecture`,
-`sample-c2`); at l = 1 the cosets are points and the count is R (`root-dist`).
+Both kinds of command count the cosets {x : x**l = beta} on which a
+polynomial vanishes: over the primes l | q-1 a nonzero count means C > 1
+(`max-r`, `conjecture`, `sample-c2`); at l = 1 the cosets are points and
+the count is R (`root-dist`).  The enumeration drivers count them with
+`_vanishing_counts`, one matmul per residue class of a sparse exponent set
+over F_p.  The samplers evaluate each dense polynomial at every unit of
+F_q by a two-stage Fourier transform over F_q (`_unit_zero_mask`) and read
+the counts off its zero mask (`_coset_counts`).
 
 The counting kernels exploit the scalar normalization: with c_1 = 1 and
 exponents fixed, walking all (x, c_2, ..., c_{t-1}) and solving for the
@@ -67,14 +71,16 @@ DEFAULT_WORK_BUDGET = 10**10
 SAMPLING_FIELD_LIMIT = 4096
 
 _CHUNK = 1 << 20
+_SUB_BLOCK = 1 << 15
 
 
-def _require_exact_float64(terms: int, p: int) -> None:
-    """A float64 sum of `terms` products of residues mod p is exact only
-    while it stays below 2**53; the matmul kernels check this first."""
-    if terms * (p - 1) ** 2 >= 2**53:
+def _require_exact_float64(*sums: int) -> None:
+    """Each argument bounds the integers one float64 kernel stage can hold.
+    Below 2**53 the sums are exact, and an integer sum s has s / p whole
+    iff p | s; the kernels check their bounds before they build anything."""
+    if max(sums) >= 2**53:
         raise InternalInvariantError(
-            f"float64 sums of {terms} products mod {p} exceed 2**53 and would round"
+            f"float64 sums up to {max(sums)} exceed 2**53 and would round"
         )
 
 
@@ -221,60 +227,130 @@ def _blocks(total: int, width: int) -> Iterator[int]:
         yield min(block, total - start)
 
 
-def _digits(labels: np.ndarray, field: FieldSpec) -> np.ndarray:
-    """Base-p digits of element labels, least significant first, on a new
-    last axis of length k; on F_p a label is its own digit, as a view."""
-    if field.k == 1:
-        return labels[..., None]
-    return labels[..., None] // field.p ** np.arange(field.k, dtype=np.int64) % field.p
-
-
 def _vanishing_counts(field: FieldSpec, exps, labels: np.ndarray, ells) -> np.ndarray:
-    """For each coefficient column, the number of cosets {x : x**l = beta},
-    l in ells (each l | q-1), on which that polynomial vanishes.
+    """For each coefficient column over F_p, the number of cosets
+    {x : x**l = beta}, l in ells (each l | p-1), on which that polynomial
+    vanishes.
 
-    labels is a C-contiguous (t, m) array; column j holds the coefficient
-    labels of one polynomial f = sum_i c_i x**a_i (on F_p the values c_i).
-    f vanishes on x**l = beta = g**(l*v) iff all residue class sums
-    sum_{a_i = r mod l} c_i beta**u_i, u_i = a_i div l, are zero: over
-    `_pairing_primes` a count is nonzero iff C(f) > 1, and at l = 1 the
-    count is R(f).  A coefficient of F_{p^k} is its k base-p digits, so a
-    class sum is one exact float64 matmul with W[(v,e),(i,d)] = digit e of
-    beta**u_i * y**d.  beta is walked in blocks, so that W, the sums and
-    the vanishing flags hold at most 2**23 entries each.
+    labels is a (t, m) array; column j holds the coefficients c_i of one
+    polynomial f = sum_i c_i x**a_i.  f vanishes on x**l = beta =
+    g**(l*v) iff all residue class sums sum_{a_i = r mod l} c_i beta**u_i,
+    u_i = a_i div l, are zero: over `_pairing_primes` a count is nonzero
+    iff C(f) > 1, and at l = 1 the count is R(f).  A class sum is one exact
+    float64 matmul with W[v, i] = beta**u_i.  beta is walked in blocks, so
+    that the sums and the vanishing flags hold at most 2**23 entries each.
     """
-    p, k, n = field.p, field.k, field.q - 1
+    p, n = field.p, field.p - 1
     t, m = labels.shape
-    _require_exact_float64(t * k, p)
+    _require_exact_float64(t * (p - 1) ** 2)
     counts = np.zeros(m, dtype=np.int64)
-    tables = log_tables(field)
-    # y**d is the element with label p**d
-    log_y = tables.log[p ** np.arange(k)].astype(np.int64)
-    digits = _digits(labels, field).transpose(0, 2, 1)  # (t, k, m)
+    pw = log_tables(field).exp
+    values = labels.astype(np.float64)
     for ell in ells:
         classes: dict[int, list] = {}
         for i, a in enumerate(exps):
             classes.setdefault(a % ell, []).append(i)
-        widest = max(map(len, classes.values())) * k
+        class_us = [np.array([exps[i] // ell for i in idxs]) for idxs in classes.values()]
+        class_values = [values[idxs] for idxs in classes.values()]
         start = 0
-        for size in _blocks(n // ell, k * max(widest, m)):
+        for size in _blocks(n // ell, m):
             v = np.arange(start, start + size, dtype=np.int64)
             start += size
             van = np.ones((size, m), dtype=bool)
-            last = None
-            for idxs in classes.values():
-                us = [exps[i] // ell for i in idxs]
-                if us != last:  # when sampling, every class has the same u_i
-                    e = (np.multiply.outer(ell * v, us)[..., None] + log_y) % n
-                    W = _digits(tables.exp[e], field).transpose(0, 3, 1, 2)
-                    W, last = W.reshape(size * k, -1).astype(np.float64), us
-                sums = W @ digits[idxs].reshape(len(idxs) * k, m).astype(np.float64)
-                # integers below 2**53, so sums / p is whole iff p | sums
+            for us, cv in zip(class_us, class_values):
+                sums = pw[np.multiply.outer(ell * v, us) % n].astype(np.float64) @ cv
                 sums /= p
-                van &= (sums == np.floor(sums)).reshape(size, k, m).all(axis=1)
+                van &= sums == np.floor(sums)
             # `_blocks` gives at most 2**23 rows of beta, so int32 column sums cannot overflow
             counts += van.sum(axis=0, dtype=np.int32)
     return counts
+
+
+# -- evaluation at every unit: a two-stage Fourier transform over F_q ---------
+
+
+def _digit_matrix(field: FieldSpec, logs: np.ndarray) -> np.ndarray:
+    """Multiplication by each g**logs[r, c] as an F_p-linear map on base-p
+    digits: the float64 (k*r, k*c) matrix whose entry [(e, r), (d, c)] is
+    digit e of g**logs[r, c] * y**d.  On F_p it is the values g**logs."""
+    p, k, n = field.p, field.k, field.q - 1
+    tables = log_tables(field)
+    log_y = tables.log[p ** np.arange(k)].astype(np.int64)  # y**d has label p**d
+    labels = tables.exp[(logs[:, None, :] + log_y[:, None]) % n]  # [r, d, c]
+    digits = labels // p ** np.arange(k, dtype=np.int64).reshape(k, 1, 1, 1) % p
+    return digits.reshape(k * len(logs), -1).astype(np.float64)
+
+
+def _unit_transform(field: FieldSpec) -> tuple:
+    """Tables (W1, T, W2) of `_unit_zero_mask` for n = q-1 = n1*n2, with n1
+    the largest divisor of n up to sqrt(n).
+
+    Write i = n2*i1 + i2 and j = j1 + n1*j2; then n divides n2*i1*n1*j2, so
+    f(g**j) = sum_i2 g**(n1*i2*j2) * g**(i2*j1) * sum_i1 g**(n2*i1*j1) c_i:
+    W1 is the n1 x n1 table g**(n2*i1*j1), T the twiddles g**(i2*j1) and W2
+    the n2 x n2 table g**(n1*i2*j2), each entry its k x k digit matrix.
+    Stage 1 sums k*n1 products of digits below p, the reduction mod p
+    leaves digits below p, a twiddled digit sums k products, and stage 2
+    sums k*n2 products of a twiddled digit and a digit; all of that is
+    checked below 2**53 before any table is built.
+    """
+    p, k, n = field.p, field.k, field.q - 1
+    n1 = max(d for d in divisors(n) if d * d <= n)
+    n2 = n // n1
+    _require_exact_float64(
+        k * n1 * (p - 1) ** 2, k * (p - 1) ** 2, k * n2 * (p - 1) * k * (p - 1) ** 2
+    )
+    a1, a2 = np.arange(n1, dtype=np.int64), np.arange(n2, dtype=np.int64)
+    return (
+        _digit_matrix(field, n2 * np.multiply.outer(a1, a1)),
+        _digit_matrix(field, np.multiply.outer(a1, a2)).reshape(k, n1, k, n2),
+        _digit_matrix(field, n1 * np.multiply.outer(a2, a2)),
+    )
+
+
+def _unit_zero_mask(field: FieldSpec, transform: tuple, rows: np.ndarray) -> np.ndarray:
+    """Zero mask of dense polynomials at every unit: entry [s, j] is True iff
+    f_s(g**j) = 0, where rows[s, i] is the label of the coefficient of x**i.
+
+    Rows go through in sub-blocks of at most 2**15 float64 entries (one row
+    when a row is longer), so the four working buffers stay in cache.  The
+    digits are laid out (sample, digit, i1, i2), so stage 1 is one table
+    broadcast over the samples, and the twiddle writes (sample, j1, digit,
+    i2), so stage 2 is one matmul with W2 transposed; at k = 1 neither
+    layout moves a sample's entries.
+    """
+    W1, T, W2 = transform
+    p, k, n = field.p, field.k, field.q - 1
+    n1 = len(W1) // k
+    n2 = n // n1
+    zero = np.empty(rows.shape, dtype=bool)
+    sub = max(1, _SUB_BLOCK // (k * n))
+    bufs = np.empty((4, min(sub, len(rows)), k * n))
+    for start in range(0, len(rows), sub):
+        block = rows[start : start + sub]
+        m = len(block)
+        digits, Y, Z, tmp = bufs[:, :m]
+        rest = block
+        for d in range(k - 1):
+            rest, digits[:, d * n : (d + 1) * n] = np.divmod(rest, p)
+        digits[:, (k - 1) * n :] = rest
+        Y = np.matmul(W1, digits.reshape(m, k * n1, n2), out=Y.reshape(m, k * n1, n2))
+        # below 2**53 floor(Y / p) is the exact quotient, so Y becomes Y mod p
+        quot = tmp.reshape(Y.shape)
+        np.floor(np.divide(Y, p, out=quot), out=quot)
+        Y -= np.multiply(quot, p, out=quot)
+        Y, Z = Y.reshape(m, k, n1, n2), Z.reshape(m, n1, k, n2)
+        for e2 in range(k):
+            np.multiply(Y[:, 0], T[e2, :, 0], out=Z[:, :, e2])
+            for e in range(1, k):
+                Z[:, :, e2] += Y[:, e] * T[e2, :, e]
+        sums = np.matmul(Z.reshape(m * n1, k * n2), W2.T, out=digits.reshape(m * n1, k * n2))
+        sums /= p  # whole iff p | sums, since the sums are integers below 2**53
+        whole = sums == np.floor(sums, out=tmp.reshape(sums.shape))
+        # j = j1 + n1*j2: write (j1, j2) into a (j2, j1) view of the rows
+        natural = zero[start : start + m].reshape(m, n2, n1).transpose(0, 2, 1)
+        np.logical_and.reduce(whole.reshape(m, n1, k, n2), axis=2, out=natural)
+    return zero
 
 
 # -- enumeration drivers ------------------------------------------------------
@@ -483,10 +559,23 @@ def _nonzero_rows(rng, take: int, q: int, n: int) -> np.ndarray:
         coefs[dead] = rng.integers(0, q, size=(len(dead), n), dtype=np.int64)
 
 
+def _coset_counts(zero: np.ndarray, ells) -> np.ndarray:
+    """Per row of a natural-order zero mask (m, n), the number of cosets
+    {x : x**l = beta}, l in ells, on which the polynomial vanishes: g**j
+    lies on the coset of g**v, v < n/l, iff j = v mod n/l."""
+    m, n = zero.shape
+    counts = np.zeros(m, dtype=np.int64)
+    for ell in ells:
+        counts += zero.reshape(m, ell, n // ell).all(axis=1).sum(axis=1)
+    return counts
+
+
 def _sampled_counts(field: FieldSpec, samples: int, seed: int, ells) -> Counter:
-    """Histogram {count: occurrences} of `_vanishing_counts` over ells for
-    samples uniform nonzero polynomials of degree < q-1 drawn from
-    default_rng(seed); every check runs before the first draw."""
+    """Histogram {count: occurrences} of the vanishing-coset counts over ells
+    (`_coset_counts`; at l = 1 the count is R) for samples uniform nonzero
+    polynomials of degree < q-1 drawn from default_rng(seed), each draw
+    block evaluated at every unit by `_unit_zero_mask`.  Every check runs
+    before the first draw, and with no l to count nothing is drawn."""
     if not isinstance(samples, int) or isinstance(samples, bool) or samples < 1:
         raise InvalidSampleCount(f"samples must be a positive int, got {samples!r}")
     if not isinstance(seed, int) or isinstance(seed, bool) or seed < 0:
@@ -494,12 +583,14 @@ def _sampled_counts(field: FieldSpec, samples: int, seed: int, ells) -> Counter:
     q, n = field.q, field.q - 1
     if q > SAMPLING_FIELD_LIMIT:
         raise FieldTooLarge(f"sampling ceiling is q <= {SAMPLING_FIELD_LIMIT}")
-    _require_exact_float64(n * field.k, field.p)
+    if not ells:
+        return Counter({0: samples})
+    transform = _unit_transform(field)
     rng = np.random.default_rng(seed)
     hist: Counter = Counter()
     for take in _blocks(samples, n * field.k):
-        labels = np.ascontiguousarray(_nonzero_rows(rng, take, q, n).T)
-        counts = _vanishing_counts(field, range(n), labels, ells)
+        zero = _unit_zero_mask(field, transform, _nonzero_rows(rng, take, q, n))
+        counts = _coset_counts(zero, ells)
         for c, occurrences in zip(*np.unique(counts, return_counts=True)):
             hist[int(c)] += int(occurrences)
     return hist

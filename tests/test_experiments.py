@@ -29,6 +29,7 @@ from tnomial.experiments import (
     root_distribution_sample,
     sample_vanishing_proportion,
     _coeff_matrix,
+    _coset_counts,
     _affine_reps,
     _nonzero_rows,
     _orbit_reps,
@@ -36,6 +37,8 @@ from tnomial.experiments import (
     _poly_from_column,
     _root_count_vector,
     _sampled_counts,
+    _unit_transform,
+    _unit_zero_mask,
     _vanishing_counts,
 )
 from tnomial.field import make_extension_field, make_prime_field
@@ -307,17 +310,65 @@ def test_coset_mask_matches_compute_C():
     # column-restricted evaluation agrees with the full mask
     cols = np.array([1, 5, 17, 30])
     assert np.array_equal(_c_above_1(field, exps, _coeff_matrix(7, 3)[:, cols]), mask[cols])
+    # dense columns: the samplers' transform, with planted cosets over
+    # F_{p^k} and F_p
     rng = random.Random(7)
-    for p, k in [(2, 2), (2, 3), (3, 2), (2, 4), (5, 2), (3, 3), (7, 2), (2, 6)]:
-        F = make_extension_field(p, k)
+    for p, k in [(2, 2), (2, 3), (3, 2), (2, 4), (5, 2), (3, 3), (7, 2), (2, 6), (13, 1), (31, 1)]:
+        F = make_extension_field(p, k) if k > 1 else make_prime_field(p)
         labels = _coset_mask_columns(F, rng)
-        mask = _c_above_1(F, range(F.q - 1), labels)
-        R = _vanishing_counts(F, range(F.q - 1), labels, (1,))
+        zero = _unit_zero_mask(F, _unit_transform(F), labels.T)
+        mask = _coset_counts(zero, [ell for ell, _ in F.group_order_factors if ell < F.q - 1]) > 0
+        R = zero.sum(axis=1)
         for j, col in enumerate(labels.T):
             f = build(F, [(a, F.element_from_int(int(c))) for a, c in enumerate(col) if c])
             assert bool(mask[j]) == (compute_C(f) > 1), (F.q, col)
             assert int(R[j]) == count_roots_bruteforce(f), (F.q, col)
         assert mask.any() == (F.q not in (4, 8))  # n = 3 and 7 have no proper coset
+
+
+@pytest.mark.parametrize(
+    "p, k, n1",
+    [
+        (2, 1, 1),  # n = 1
+        (2, 2, 1),  # n = 3, prime
+        (2, 3, 1),  # n = 7, prime
+        (5, 2, 4),
+        (2, 6, 7),
+        (3, 4, 8),
+        (1019, 1, 2),  # n = 2 * 509
+        (509, 1, 4),  # n = 4 * 127
+        (257, 1, 16),
+        (1021, 1, 30),
+        (4093, 1, 62),
+    ],
+)
+def test_unit_zero_mask_matches_root_mask(p, k, n1):
+    # every entry of the mask, in natural unit order, against the
+    # log-domain root mask of each seeded row
+    F = make_extension_field(p, k) if k > 1 else make_prime_field(p)
+    transform = _unit_transform(F)
+    assert len(transform[0]) == k * n1
+    rows = _nonzero_rows(np.random.default_rng(F.q), 30, F.q, F.q - 1)
+    log = log_tables(F).log
+    expected = [root_mask(F, np.flatnonzero(row), log[row[row > 0]]) for row in rows]
+    zero = _unit_zero_mask(F, transform, rows)
+    assert np.array_equal(zero, np.array(expected))
+    assert zero.any() == (F.q > 2)
+
+
+def test_sampler_memory_at_f4096_holds_no_dense_table():
+    # at F_{2^12} an (n*k)**2 float64 table would take 19 GB, and one of
+    # (k*n/l)**2 entries for l = 13 takes 114 MB; the transform's largest
+    # table has (k*n2)**2 entries, n2 = 65
+    F = make_extension_field(2, 12)
+    tracemalloc.start()
+    try:
+        est = sample_vanishing_proportion(F, 4, seed=0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2**20
+    assert est.estimate == 0.0
 
 
 def test_coset_mask_memory_is_bounded():
