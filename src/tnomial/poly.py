@@ -19,15 +19,17 @@ a partial sum cancels are kept as a sparse index array.  The root count,
 the vanishing cosets and the coset decomposition are read off its mask.
 
 The gcd oracle never reads those tables.  It raises x to the power q-1
-mod f by square and multiply with exact products mod p: np.convolve on
-short vectors, float64 FFTs on long ones, each vector split into the
-fewest limbs that an a-priori rounding bound allows (one limb for every
-oracle product with p < 2**14, two for the longest ones mod 65521, three
-mod p < 2**31).  Each square is reduced by Barrett division, one more
-product with the Newton inverse of the reversed f.  Over F_{p^k} a
-coefficient is a row of k base-p digits, packed into 2k-1 slots for a
-product (Kronecker substitution), so prime and extension fields share
-the same products; a dense Euclid then gives the gcd.
+mod f from the bits of q-1: the prefixes below deg f give monomials, one
+division by the Newton inverse of the reversed f reduces the next, and
+only the bits after it square and multiply, each square reduced by
+Barrett division with the same inverse.  Products are exact mod p:
+np.convolve on short vectors, float64 FFTs on long ones, each vector
+split into the fewest limbs that an a-priori rounding bound allows (one
+limb for every oracle product with p < 2**14, two for the longest ones
+mod 65521, three mod p < 2**31).  Over F_{p^k} a coefficient is a row
+of k base-p digits, packed into 2k-1 slots for a product (Kronecker
+substitution), so prime and extension fields share the same products; a
+dense Euclid then gives the gcd.
 """
 
 from __future__ import annotations
@@ -298,10 +300,7 @@ FFT_MIN_LENGTH = 512
 def count_roots_gcd(f: TNomial) -> int:
     """Number of distinct nonzero roots as deg gcd(f, x**(q-1) - 1).
 
-    Computes x**(q-1) mod f by left-to-right square and multiply; each
-    square is reduced by Barrett division, one product with the Newton
-    inverse of the reversed f, whose limb spectra are taken once, and
-    each step by x folds one coefficient.  Then one dense Euclid.
+    Gets x**(q-1) mod f from _x_power_mod, then runs one dense Euclid.
     Products are exact (_convolve_mod_p), on Kronecker-packed digit rows
     for F_{p^k}.  Independent of the scan counter.  Raises FieldTooLarge
     when q > 2**16.
@@ -314,40 +313,77 @@ def count_roots_gcd(f: TNomial) -> int:
     if d <= 1:
         # a nonzero constant has no root; c1*x + c0 with c0 != 0 has one
         return d
-    p = F.p
-    fold = _fold_matrix(F)
-    fd = np.zeros((d + 1, F.k), dtype=np.int64)
-    for a, c in f.terms:
-        fd[a] = _digits(F, c)
-    lead_inv = F.inv(f.terms[-1][1])
-    mul = _mul_tensor(fold)
-    # a square loses quotient * c_a x**a; x * x**(d-1) gains -c_a/lead x**a
-    low = [(a, mul @ _digits(F, c) % p) for a, c in f.terms[:-1]]
-    shift = [(a, mul @ _digits(F, F.neg(F.mul(c, lead_inv))) % p) for a, c in f.terms[:-1]]
-    inv = _series_inverse(fd[::-1], d - 1, _digits(F, lead_inv), p, fold)
-    # every quotient is the product of d - 1 top rows with inv
-    by_inv = _fixed_factor(inv, d - 1, p, fold)
+    cur = _x_power_mod(f, F.q - 1)
+    cur[0, 0] = (cur[0, 0] - 1) % F.p  # x**(q-1) - 1 reduced mod f
+    if F.k == 1:
+        return len(_dense_gcd_prime(_dense_rows(f)[:, 0], cur[:, 0], F.p)) - 1
+    return _gcd_degree_rows(F, _fold_matrix(F), _dense_rows(f), cur)
+
+
+def _x_power_mod(f: TNomial, exponent: int) -> np.ndarray:
+    """x**exponent mod f as deg f digit rows, for deg f >= 2.
+
+    With d = deg f, the longest binary prefix m of the exponent below d
+    gives x**m, which is reduced as it stands.  The next prefix e has
+    d <= e <= 2d - 1, and the quotient of x**e by f is the first
+    e - d + 1 coefficients of 1/rev(f), reversed (division by Newton
+    iteration, von zur Gathen & Gerhard, Modern Computer Algebra, ch. 9),
+    so x**e mod f is that quotient times the terms of f below x**d.  Only
+    the bits after e square and multiply: each square is reduced by
+    Barrett division, one product with the same inverse cut to d - 1
+    terms, whose limb spectra are taken once, and each step by x folds
+    one coefficient.  The inverse is built once, as long as the longer of
+    the two uses needs: at e = 2d - 1 the quotient has d terms.
+    """
+    F = f.field
+    p, d = F.p, f.degree
     cur = np.zeros((d, F.k), dtype=np.int64)
-    cur[1, 0] = 1  # the polynomial x
-    for bit in bin(F.q - 1)[3:]:
+    s = (exponent // d).bit_length()  # the least s with exponent >> s < d
+    if s == 0:
+        cur[exponent, 0] = 1
+        return cur
+    e = exponent >> (s - 1)
+    fold = _fold_matrix(F)
+    mul = _mul_tensor(fold)
+    lead_inv = F.inv(f.terms[-1][1])
+    length = max(e - d + 1, d - 1 if s > 1 else 0)
+    inv = _series_inverse(_dense_rows(f)[::-1], length, _digits(F, lead_inv), p, fold)
+    low = [(a, mul @ _digits(F, c) % p) for a, c in f.terms[:-1]]
+
+    def sub_low(rem: np.ndarray, quo: np.ndarray) -> np.ndarray:
+        # the remainder: rem holds the dividend's rows below x**d, from which
+        # quo times the lower terms of f comes off; quo * lead x**d stays above
+        for a, m in low:
+            n = min(len(quo), d - a)
+            rem[a : a + n] -= quo[:n] @ m
+        return rem % p
+
+    cur = sub_low(cur, inv[e - d :: -1])
+    if s == 1:
+        return cur
+    # x * x**(d-1) gains -c_a/lead x**a
+    shift = [(a, mul @ _digits(F, F.neg(F.mul(c, lead_inv))) % p) for a, c in f.terms[:-1]]
+    # every quotient is the product of d - 1 top rows with inv
+    by_inv = _fixed_factor(inv[: d - 1], d - 1, p, fold)
+    for i in range(s - 2, -1, -1):
         sq = _mul_rows(cur, cur, p, fold)  # degree <= 2d - 2
         # the quotient, reversed, is rev(top d - 1 coefficients) * inv mod x**(d-1)
-        quo = by_inv(sq[: d - 1 : -1])[d - 2 :: -1]
-        cur = sq[:d]
-        for a, m in low:
-            n = min(d - 1, d - a)
-            cur[a : a + n] -= quo[:n] @ m
-        cur %= p
-        if bit == "1":
+        cur = sub_low(sq[:d], by_inv(sq[: d - 1 : -1])[d - 2 :: -1])
+        if exponent >> i & 1:
             top = cur[-1].copy()
             cur = np.roll(cur, 1, axis=0)
             cur[0] = 0
             for a, m in shift:
                 cur[a] = (cur[a] + top @ m) % p
-    cur[0, 0] = (cur[0, 0] - 1) % p  # x**(q-1) - 1 reduced mod f
-    if F.k == 1:
-        return len(_dense_gcd_prime(fd[:, 0], cur[:, 0], p)) - 1
-    return _gcd_degree_rows(F, fold, fd, cur)
+    return cur
+
+
+def _dense_rows(f: TNomial) -> np.ndarray:
+    """f as deg f + 1 digit rows, row i the coefficient of x**i."""
+    rows = np.zeros((f.degree + 1, f.field.k), dtype=np.int64)
+    for a, c in f.terms:
+        rows[a] = _digits(f.field, c)
+    return rows
 
 
 def _digits(F: FieldSpec, c: Element) -> np.ndarray:
@@ -555,6 +591,8 @@ def _dense_gcd_prime(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
             c = int(r[i]) % p
             if c:
                 fac = c * inv_lead % p
+                # unreduced: up to da + 1 <= q - 1 products below p**2 pile
+                # up in one row, below 2**63 for q <= GCD_LIMIT
                 r[i - db : i] -= fac * b[:db]
                 r[i] = 0
         a, b = b, trim(r % p)

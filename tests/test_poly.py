@@ -4,6 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import tnomial.poly as poly
 from tnomial.errors import (
     EmptyInput,
     FieldTooLarge,
@@ -18,8 +19,10 @@ from tnomial.poly import (
     BRUTE_FORCE_LIMIT,
     FFT_MIN_LENGTH,
     TNomial,
+    GCD_LIMIT,
     _convolve_mod_p,
     _limb_plan,
+    _x_power_mod,
     build,
     count_roots_bruteforce,
     count_roots_gcd,
@@ -142,16 +145,21 @@ def test_count_roots_gcd_matches_bruteforce_random():
             except ZeroFunction:
                 continue
             assert count_roots_gcd(f) == count_roots_bruteforce(f), terms
-    # full degree q - 2 with every coefficient p - 1: the largest two-limb sums
+    # every coefficient p - 1 mod 65521: at full degree q - 2 the reduction
+    # of x**(q-1) leaves no bit to square; at degree (q - 1)/2 one bit is
+    # left, and its square of 32760 rows is the longest two-limb product
+    # the oracle makes
     F = make_prime_field(65521)
-    for mid in (1, rng.randrange(2, 65519)):
-        f = build(F, [(65519, -1), (mid, -1), (0, -1)])
-        assert count_roots_gcd(f) == count_roots_bruteforce(f), mid
+    for top in (65519, 32760):
+        for mid in (1, rng.randrange(2, top)):
+            f = build(F, [(top, -1), (mid, -1), (0, -1)])
+            assert count_roots_gcd(f) == count_roots_bruteforce(f), (top, mid)
 
 
 def test_convolve_mod_p_is_exact_at_the_largest_oracle_length():
-    # squaring a remainder of degree q - 3 mod 65521, the largest prime
-    # below GCD_LIMIT, is the longest product the oracle makes
+    # a square of degree-(q - 3) vectors mod 65521, the largest prime below
+    # GCD_LIMIT, is longer than any product the oracle makes: it squares
+    # remainders of degree below (q - 1)/2 only
     p = 65521
     a = np.full(p - 2, p - 1, dtype=np.int64)
     expected = np.convolve(a, a) % p
@@ -239,6 +247,109 @@ def test_count_roots_gcd_extension():
                 except ZeroFunction:
                     continue
                 assert count_roots_gcd(f) == count_roots_bruteforce(f), (F.modulus, terms)
+
+
+def _every_degree_fields():
+    yield make_prime_field(11)
+    yield make_prime_field(13)
+    for p, k in [(2, 3), (3, 2), (2, 4)]:
+        yield from _with_second_modulus(p, k)
+
+
+@pytest.mark.parametrize("F", _every_degree_fields(), ids=lambda F: f"F{F.q}" + (f"{F.modulus}" if F.k > 1 else ""))
+def test_count_roots_gcd_at_every_degree(F):
+    # every split of the bits of q - 1 between the monomial prefix, the one
+    # reduction of x**e and the squares; e = 2d - 1 leaves no bit over F_8
+    # at d = 4 (7 = 111b) and one at F_8, d = 2 (3 then 7) and F_11, d = 3
+    # (5 = 101b, then 10)
+    rng = random.Random(F.q * 31 + len(F.modulus or ()))
+    for d in range(2, F.q - 1):
+        for _ in range(4):
+            coeffs = [F.element_from_int(rng.randrange(F.q)) for _ in range(d + 1)]
+            for a in (0, d):
+                coeffs[a] = F.element_from_int(rng.randrange(1, F.q))
+            f = build(F, [(a, c) for a, c in enumerate(coeffs) if c != F.zero])
+            assert count_roots_gcd(f) == count_roots_bruteforce(f), (d, coeffs)
+
+
+def _x_power_mod_reference(f, m):
+    """x**m mod f by schoolbook square and multiply over f's field."""
+    F = f.field
+    d = f.degree
+    lead_inv = F.inv(f.terms[-1][1])
+
+    def reduce(r):
+        while len(r) > d:
+            c = F.mul(r.pop(), lead_inv)
+            for a, ca in f.terms[:-1]:
+                i = len(r) - d + a
+                r[i] = F.sub(r[i], F.mul(c, ca))
+        return r + [F.zero] * (d - len(r))
+
+    def mul(u, v):
+        out = [F.zero] * (len(u) + len(v) - 1)
+        for i, a in enumerate(u):
+            for j, b in enumerate(v):
+                out[i + j] = F.add(out[i + j], F.mul(a, b))
+        return reduce(out)
+
+    result, base = reduce([F.one]), reduce([F.zero, F.one])
+    while m:
+        if m & 1:
+            result = mul(result, base)
+        base = mul(base, base)
+        m >>= 1
+    return result
+
+
+def test_x_power_mod_at_divisors_of_the_group_order():
+    # the exponent is a parameter: x**m mod f for m | q - 1, below deg f too
+    rng = random.Random(17)
+    fields = [make_prime_field(13), make_prime_field(31), make_prime_field(97)]
+    fields += [make_extension_field(3, 2), make_extension_field(2, 4), make_extension_field(3, 3)]
+    for F in fields:
+        divisors = [m for m in range(1, F.q) if (F.q - 1) % m == 0]
+        for d in sorted({2, 3, F.q // 2, F.q - 2, rng.randrange(2, F.q - 1)}):
+            terms = [(0, F.one), (d, F.element_from_int(rng.randrange(1, F.q)))]
+            terms += [(rng.randrange(1, d), F.element_from_int(rng.randrange(1, F.q))) for _ in range(3)]
+            f = build(F, terms)
+            for m in divisors:
+                rows = _x_power_mod(f, m)
+                expected = [c if F.k > 1 else (c,) for c in _x_power_mod_reference(f, m)]
+                assert rows.tolist() == [list(c) for c in expected], (F.q, f.terms, m)
+
+
+def test_count_roots_gcd_squares_only_the_bits_above_the_degree(monkeypatch):
+    # above (q - 1)/2 one reduction of x**(q-1) is the whole powering: no
+    # Barrett factor and no full-length square; at or below (q - 1)/4 at
+    # least one bit is left to square
+    calls = {"factor": 0, "square": 0}
+    real_factor, real_mul_rows = poly._fixed_factor, poly._mul_rows
+
+    def factor(*args):
+        calls["factor"] += 1
+        return real_factor(*args)
+
+    def mul_rows(a, b, *args):
+        if a is b and len(a) == d:  # d: the degree under test below
+            calls["square"] += 1
+        return real_mul_rows(a, b, *args)
+
+    monkeypatch.setattr(poly, "_fixed_factor", factor)
+    monkeypatch.setattr(poly, "_mul_rows", mul_rows)
+    for F in (make_prime_field(2003), make_extension_field(3, 5)):
+        n = F.q - 1
+        for d, squares in [(n // 2 + 1, False), (n - 1, False), (n // 4, True), (n // 8, True)]:
+            calls.update(factor=0, square=0)
+            f = build(F, [(0, F.one), (d // 3, F.one), (d, F.neg(F.one))])
+            assert count_roots_gcd(f) == count_roots_bruteforce(f)
+            assert (calls["factor"] > 0, calls["square"] > 0) == (squares, squares), (F.q, d, calls)
+
+
+def test_dense_gcd_leaves_int64_headroom():
+    # _dense_gcd_prime subtracts up to d + 1 < GCD_LIMIT unreduced products
+    # below p**2 into one row per division
+    assert GCD_LIMIT * (GCD_LIMIT - 1) ** 2 < 2**63
 
 
 def test_count_roots_gcd_edge_cases():
