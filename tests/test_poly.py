@@ -250,13 +250,14 @@ def test_count_roots_gcd_extension():
 
 
 def _every_degree_fields():
-    yield make_prime_field(11)
-    yield make_prime_field(13)
+    fields = [make_prime_field(11), make_prime_field(13)]
     for p, k in [(2, 3), (3, 2), (2, 4)]:
-        yield from _with_second_modulus(p, k)
+        fields += _with_second_modulus(p, k)
+    ids = [f"F{F.q}" + ("-m" + "".join(map(str, F.modulus)) if F.k > 1 else "") for F in fields]
+    return [pytest.param(F, id=i) for F, i in zip(fields, ids)]
 
 
-@pytest.mark.parametrize("F", _every_degree_fields(), ids=lambda F: f"F{F.q}" + (f"{F.modulus}" if F.k > 1 else ""))
+@pytest.mark.parametrize("F", _every_degree_fields())
 def test_count_roots_gcd_at_every_degree(F):
     # every split of the bits of q - 1 between the monomial prefix, the one
     # reduction of x**e and the squares; e = 2d - 1 leaves no bit over F_8
