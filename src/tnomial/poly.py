@@ -18,7 +18,7 @@ outer sum of two progressions about sqrt(q-1) long, and the units where
 a partial sum cancels are kept as a sparse index array.  The root count,
 the vanishing cosets and the coset decomposition are read off its mask.
 
-The gcd oracle never reads those tables.  It raises x to the power q-1
+The gcd oracle trusts none of those tables.  It raises x to the power q-1
 mod f from the bits of q-1: the prefixes below deg f give monomials, one
 division by the Newton inverse of the reversed f reduces the next, and
 only the bits after it square and multiply, each square reduced by
@@ -28,8 +28,12 @@ split into the fewest limbs that an a-priori rounding bound allows (one
 limb for every oracle product with p < 2**14, two for the longest ones
 mod 65521, three mod p < 2**31).  Over F_{p^k} a coefficient is a row
 of k base-p digits, packed into 2k-1 slots for a product (Kronecker
-substitution), so prime and extension fields share the same products; a
-dense Euclid then gives the gcd.
+substitution), so prime and extension fields share the same products.
+One dense Euclid then gives the gcd for every field.  Over F_{p^k} it
+holds each coefficient as one int64 of k digit slots, scales a row by one
+gather from the negated powers of g at a sum of logs, and adds slot-wise;
+it reads the exp table of the scan only after checking every entry with
+its own multiplication.
 """
 
 from __future__ import annotations
@@ -285,8 +289,9 @@ def roots_on_units(f: TNomial) -> np.ndarray:
 #
 # The oracle holds a polynomial over F_{p^k} as an (L, k) int64 array of
 # base-p digit rows, row i the coefficient of x**i (k = 1 for a prime
-# field).  It uses FieldSpec arithmetic and these arrays only, never the
-# log tables, so it stays an independent check of the scan.
+# field).  It uses FieldSpec arithmetic and these arrays; its Euclid also
+# reads the scan's powers of g, but only after checking each one with the
+# oracle's own product, so it stays an independent check of the scan.
 
 # Product length from which the one-limb FFT beats np.convolve.  Best of
 # 15x20 products of all-(p-1) vectors mod 6007 on a 2-core Xeon with numpy
@@ -300,10 +305,14 @@ FFT_MIN_LENGTH = 512
 def count_roots_gcd(f: TNomial) -> int:
     """Number of distinct nonzero roots as deg gcd(f, x**(q-1) - 1).
 
-    Gets x**(q-1) mod f from _x_power_mod, then runs one dense Euclid.
-    Products are exact (_convolve_mod_p), on Kronecker-packed digit rows
-    for F_{p^k}.  Independent of the scan counter.  Raises FieldTooLarge
-    when q > 2**16.
+    Gets x**(q-1) mod f from _x_power_mod, then runs the dense Euclid
+    _gcd_degree, the same for every field.  Products are exact
+    (_convolve_mod_p), on Kronecker-packed digit rows for F_{p^k}.
+    Independent of the scan counter: over F_{p^k} the Euclid takes the
+    powers of g from the scan's exp table only after checking each one
+    with the oracle's own multiplication, and raises
+    InternalInvariantError on a wrong entry.  Raises FieldTooLarge when
+    q > 2**16.
     """
     F = f.field
     if F.q > GCD_LIMIT:
@@ -315,9 +324,7 @@ def count_roots_gcd(f: TNomial) -> int:
         return d
     cur = _x_power_mod(f, F.q - 1)
     cur[0, 0] = (cur[0, 0] - 1) % F.p  # x**(q-1) - 1 reduced mod f
-    if F.k == 1:
-        return len(_dense_gcd_prime(_dense_rows(f)[:, 0], cur[:, 0], F.p)) - 1
-    return _gcd_degree_rows(F, _fold_matrix(F), _dense_rows(f), cur)
+    return _gcd_degree(F, _dense_rows(f), cur)
 
 
 def _x_power_mod(f: TNomial, exponent: int) -> np.ndarray:
@@ -569,60 +576,118 @@ def _series_inverse(rev: np.ndarray, m: int, seed: np.ndarray, p: int, fold: np.
     return g
 
 
-def _dense_gcd_prime(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
-    """gcd of two coefficient arrays over F_p; returns trimmed array."""
+class _PackedTables(NamedTuple):
+    """The per-field tables of the Euclid over F_{p^k}, each of O(q) entries.
 
-    def trim(v: np.ndarray) -> np.ndarray:
-        # a remainder rarely ends in more than one zero: look from the top
-        n = len(v)
-        while n and not v[n - 1]:
-            n -= 1
-        return v[:n]
-
-    a, b = trim(a % p), trim(b % p)
-    while len(b):
-        da, db = len(a) - 1, len(b) - 1
-        if da < db:
-            a, b = b, a
-            continue
-        r = a.copy()
-        inv_lead = pow(int(b[db]), -1, p)
-        for i in range(da, db - 1, -1):
-            c = int(r[i]) % p
-            if c:
-                fac = c * inv_lead % p
-                # unreduced: up to da + 1 <= q - 1 products below p**2 pile
-                # up in one row, below 2**63 for q <= GCD_LIMIT
-                r[i - db : i] -= fac * b[:db]
-                r[i] = 0
-        a, b = b, trim(r % p)
-    return a
-
-
-def _gcd_degree_rows(F: FieldSpec, fold: np.ndarray, a: np.ndarray, b: np.ndarray) -> int:
-    """deg gcd of two digit-row polynomials over F_{p^k}, len(a) > len(b).
-
-    Euclid; each division makes the divisor monic with F.inv of its
-    leading coefficient, and a scalar acts by its k x k multiplication
-    matrix.
+    The Euclid holds a coefficient as one int64, its packed value: digit i
+    in slot i of `width` bits, width 1 for p = 2 (so the packed value is
+    the label) and bits(p - 1) + 1 for odd p, one guard bit above the
+    digit.  No table is indexed by a packed value, which would take 2**30
+    entries at F_{3^10}.
     """
-    p = F.p
-    mul = _mul_tensor(fold)
 
-    def trim(v: np.ndarray) -> np.ndarray:
-        nz = np.flatnonzero(v.any(axis=1))
-        return v[: nz[-1] + 1] if len(nz) else v[:0]
+    width: int
+    place: np.ndarray  # 1 << width*i: a digit row times place is its packed value
+    neg: np.ndarray  # packed -g**(j mod q-1) for j < 2(q-1), then q-1 zeros
+    log: np.ndarray  # log[label of g**j] = j; log[0] = 2(q-1) indexes the zeros of neg
+    # half[v], v < 2**(width*h) with h = ceil(k/2), is the label of the h
+    # digits packed in v; a packed value with lower slots v and upper
+    # slots u has the label half[v] + half[u] * p**h
+    half: np.ndarray
 
-    a, b = trim(a), trim(b)
+
+@lru_cache(maxsize=16)
+def _packed_tables(F: FieldSpec) -> _PackedTables:
+    """The Euclid's tables of F_{p^k}, built on first use from the scan's
+    exp table after a check through the oracle's own multiplication
+    tensor: exp[0] = 1, exp[j + 1] = exp[j] * g for every j (with
+    g**(q-1) = 1), and the powers cover every unit.  A failed check raises
+    InternalInvariantError."""
+    p, k, n = F.p, F.k, F.q - 1
+    width = 1 if p == 2 else (p - 1).bit_length() + 1
+    base = p ** np.arange(k, dtype=np.int64)
+    exp = log_tables(F).exp
+    digits = exp[:, None] // base % p
+    by_g = digits @ (_mul_tensor(_fold_matrix(F)) @ _digits(F, F.g) % p) % p @ base
+    log = np.full(F.q, 2 * n, dtype=np.intp)
+    log[exp] = np.arange(n)
+    if exp[0] != 1 or not np.array_equal(by_g, np.roll(exp, -1)) or np.count_nonzero(log == 2 * n) != 1:
+        raise InternalInvariantError(f"the powers of the generator of F_{F.q} fail the oracle's check")
+    place = np.int64(1) << width * np.arange(k, dtype=np.int64)
+    neg = np.zeros(3 * n, dtype=np.int64)
+    neg[:n] = -digits % p @ place
+    neg[n : 2 * n] = neg[:n]
+    low = -(-k // 2)
+    slots = np.arange(1 << width * low, dtype=np.int64)[:, None] >> width * np.arange(low) & (1 << width) - 1
+    return _PackedTables(width, place, neg, log, slots @ base[:low])
+
+
+def _trim(v: np.ndarray) -> np.ndarray:
+    # a remainder rarely ends in more than one zero: look from the top
+    n = len(v)
+    while n and not v[n - 1]:
+        n -= 1
+    return v[:n]
+
+
+def _gcd_degree(F: FieldSpec, a: np.ndarray, b: np.ndarray) -> int:
+    """deg gcd of two digit-row polynomials over F_q, len(a) > len(b).
+
+    One dense Euclid for every field.  Over F_p a division step subtracts
+    c/lead(b) times b in int64, unreduced, and the remainder is reduced
+    once.  Over F_{p^k} the coefficients are packed values
+    (_PackedTables): the logs of b's coefficients are taken once per
+    remainder step, so c/lead(b) times b_j is one gather from neg at
+    log b_j + log c - log lead(b), with no field inverse and no digit
+    matrix.  Packed values add by XOR for p = 2; for odd p the digits add
+    slot-wise, and p comes off each slot where the sum plus 2**s - p sets
+    the guard bit 2**s.
+    """
+    p, n = F.p, F.q - 1
+    if F.k == 1:
+        a, b = a[:, 0] % p, b[:, 0] % p
+    else:
+        tables = _packed_tables(F)
+        a, b = a @ tables.place, b @ tables.place
+        neg, log, half = tables.neg, tables.log, tables.half
+        h = -(-F.k // 2)  # the slots that half reads
+        low_mask, low, high_place = (1 << tables.width * h) - 1, tables.width * h, p**h
+        top = tables.width - 1  # the guard bit of a slot
+        ones = int(tables.place.sum())  # 1 in every slot
+        guard, offset = ones << top, ones * ((1 << top) - p)
+    a, b = _trim(a), _trim(b)
     while len(b):
-        lead = F.inv(tuple(int(x) for x in b[-1]))
-        b = b @ (mul @ _digits(F, lead) % p) % p
         db = len(b) - 1
         r = a.copy()
+        if F.k == 1:
+            inv_lead = pow(int(b[db]), -1, p)
+            for i in range(len(r) - 1, db - 1, -1):
+                c = int(r[i]) % p
+                if c:
+                    # unreduced: up to len(a) <= q - 1 products below
+                    # p**2 pile up in one row, below 2**63 for q <= GCD_LIMIT
+                    r[i - db : i] -= c * inv_lead % p * b[:db]
+            a, b = b, _trim(r[:db] % p)
+            continue
+        logs = log[half[b & low_mask] + half[b >> low] * high_place]
+        lead = int(logs[db])
+        logs = logs[:db]
         for i in range(len(r) - 1, db - 1, -1):
-            if r[i].any():
-                r[i - db : i] = (r[i - db : i] - b[:db] @ (mul @ r[i] % p)) % p
-        a, b = b, trim(r[:db])
+            c = int(r[i])
+            if c:
+                lc = int(log[half[c & low_mask] + half[c >> low] * high_place])
+                term = neg[logs + (lc - lead) % n]
+                s = r[i - db : i]
+                if p == 2:
+                    s ^= term
+                else:
+                    s += term
+                    np.add(s, offset, out=term)
+                    term &= guard
+                    term >>= top
+                    term *= p
+                    s -= term
+        a, b = b, _trim(r[:db])
     return len(a) - 1
 
 

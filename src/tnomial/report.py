@@ -11,6 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from .cosets import _decomposition_from_mask, _vanishing_cosets
+from .errors import InternalInvariantError
 from .field import FieldSpec
 from .params import compute_params
 from .poly import (
@@ -31,9 +32,9 @@ from .reduction import bound_from_C, degree_reduce  # noqa: F401
 
 SCHEMA_VERSION = 1
 
-# the extension-field Euclid of the gcd count is quadratic in q, with a
-# k x k digit matrix and a field inverse per step; cap it lower than the
-# prime-field path
+# extension fields print the gcd count up to this size only.  Its Euclid
+# is the prime fields' own, on packed digit labels with one gather per
+# step, but a higher cap would change which reports print gcd_degree
 GCD_GENERIC_LIMIT = 2**12
 
 
@@ -115,7 +116,8 @@ def analyze(f: TNomial) -> dict:
     The report builds the root mask of f once (when q-1 <= 2**22) and
     reads R, C, the vanishing-coset witnesses, the decomposition, the
     reduction's direct count and bound_C off it; each reduced polynomial
-    of the reduction is scanned on its own."""
+    of the reduction is scanned on its own.  Where both root counts run,
+    a disagreement raises InternalInvariantError."""
     F = f.field
     q = F.q
     report: dict = {
@@ -154,6 +156,10 @@ def analyze(f: TNomial) -> dict:
         roots["gcd_degree"] = count_roots_gcd(f)
         if r_value is None:
             r_value = roots["gcd_degree"]
+        elif roots["gcd_degree"] != r_value:
+            raise InternalInvariantError(
+                f"the scan counts {r_value} roots and the gcd oracle {roots['gcd_degree']}"
+            )
     else:
         roots["gcd_degree"] = None
         roots["gcd_note"] = "field too large for the gcd-based count"

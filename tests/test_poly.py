@@ -233,14 +233,12 @@ def test_count_roots_gcd_extension():
     g = build(E8, [(3, 1), (1, 1), (0, 1)])
     assert count_roots_gcd(g) == count_roots_bruteforce(g) == 3
     rng = random.Random(11)
-    # F_4 has one irreducible quadratic only; the exponent span is capped
-    # so the Euclid on F_{2^12} and F_{3^7} stays quick, and it still
-    # packs products past FFT_MIN_LENGTH into the one-limb FFT
+    # F_4 has one irreducible quadratic only; exponents span all of
+    # [0, q - 2], so F_{2^12} and F_{3^7} reach degrees in the thousands
     for p, k in [(2, 2), (2, 3), (3, 2), (5, 2), (3, 3), (7, 2), (2, 6), (3, 4), (2, 12), (3, 7)]:
         for F in _with_second_modulus(p, k):
-            span = min(F.q - 1, 160)
             for t in range(1, 9):
-                exps = rng.sample(range(span), min(t, span))
+                exps = rng.sample(range(F.q - 1), min(t, F.q - 1))
                 terms = [(a, F.element_from_int(rng.randrange(1, F.q))) for a in exps]
                 try:
                     f = build(F, terms)
@@ -348,9 +346,146 @@ def test_count_roots_gcd_squares_only_the_bits_above_the_degree(monkeypatch):
 
 
 def test_dense_gcd_leaves_int64_headroom():
-    # _dense_gcd_prime subtracts up to d + 1 < GCD_LIMIT unreduced products
-    # below p**2 into one row per division
+    # over F_p, _gcd_degree subtracts up to d + 1 < GCD_LIMIT unreduced
+    # products below p**2 into one row per remainder step
     assert GCD_LIMIT * (GCD_LIMIT - 1) ** 2 < 2**63
+
+
+def _gcd_degree_reference(F, a, b):
+    """deg gcd(a, b) by the schoolbook Euclid on field elements; a and b
+    are coefficient lists, constant term first."""
+
+    def trim(v):
+        while v and v[-1] == F.zero:
+            v.pop()
+        return v
+
+    a, b = trim(list(a)), trim(list(b))
+    while b:
+        db = len(b) - 1
+        inv_lead = F.inv(b[-1])
+        r = list(a)
+        for i in range(len(r) - 1, db - 1, -1):
+            c = F.mul(r[i], inv_lead)
+            for j, bj in enumerate(b):
+                r[i - db + j] = F.sub(r[i - db + j], F.mul(c, bj))
+        a, b = b, trim(r[:db])
+    return len(a) - 1
+
+
+def _poly_product(F, u, v):
+    out = [F.zero] * (len(u) + len(v) - 1)
+    for i, x in enumerate(u):
+        for j, y in enumerate(v):
+            out[i + j] = F.add(out[i + j], F.mul(x, y))
+    return out
+
+
+def _rows(F, coeffs):
+    return np.array([c if F.k > 1 else (c,) for c in coeffs], dtype=np.int64).reshape(-1, F.k)
+
+
+def _field(p, k):
+    return make_prime_field(p) if k == 1 else make_extension_field(p, k)
+
+
+# every slot width of the packed Euclid: 1 bit for p = 2, bits(p - 1) + 1
+# for odd p (3, 4, 4, 5, 5, 6 and 7 bits), with k = 1 ... 7
+GCD_EUCLID_FIELDS = (
+    [(2, k) for k in range(1, 8)]
+    + [(3, k) for k in range(1, 8)]
+    + [(5, k) for k in range(1, 6)]
+    + [(7, k) for k in range(1, 5)]
+    + [(11, 1), (11, 2), (11, 3), (13, 1), (13, 2), (13, 3), (31, 1), (31, 2), (61, 1), (61, 2)]
+)
+
+
+@pytest.mark.parametrize("p, k", GCD_EUCLID_FIELDS, ids=[f"p{p}k{k}" for p, k in GCD_EUCLID_FIELDS])
+def test_gcd_degree_matches_the_schoolbook_euclid(p, k):
+    # a = g u and b = g v share a factor g of degree 0 ... 3; coefficients
+    # are drawn from every element, zero included
+    F = _field(p, k)
+    rng = random.Random(p * 8 + k)
+
+    def poly_of_degree(d):
+        coeffs = [F.element_from_int(rng.randrange(F.q)) for _ in range(d)]
+        return coeffs + [F.element_from_int(rng.randrange(1, F.q))]
+
+    for _ in range(3):
+        g = poly_of_degree(rng.randrange(4))
+        u, v = poly_of_degree(rng.randrange(8, 16)), poly_of_degree(rng.randrange(8))
+        a, b = _poly_product(F, g, u), _poly_product(F, g, v)
+        expected = _gcd_degree_reference(F, a, b)
+        assert expected >= len(g) - 1
+        assert poly._gcd_degree(F, _rows(F, a), _rows(F, b)) == expected, (g, u, v)
+
+
+@pytest.mark.parametrize("p, k", [(5, 1), (2, 4), (2, 6), (3, 3), (5, 2), (7, 3), (13, 2), (61, 2)])
+def test_gcd_degree_edge_inputs(p, k):
+    F = _field(p, k)
+    rng = random.Random(p * 8 + k + 1)
+
+    def unit():
+        return F.element_from_int(rng.randrange(1, F.q))
+
+    # b = x^5 + c divides a: its zero coefficients take the sentinel log,
+    # and the one division has a quotient of degree 7
+    b = [unit()] + [F.zero] * 4 + [F.one]
+    a = _poly_product(F, b, [unit() for _ in range(8)])
+    assert poly._gcd_degree(F, _rows(F, a), _rows(F, b)) == _gcd_degree_reference(F, a, b) == 5
+    # b = 0: the gcd is a itself
+    assert poly._gcd_degree(F, _rows(F, a), _rows(F, [F.zero] * 3)) == 12
+    # gcd = f: x^m - 1 divides x^(q-1) - 1 for every m | q - 1
+    m = max(d for d in range(2, min(F.q - 2, 40) + 1) if (F.q - 1) % d == 0)
+    f = build(F, [(m, F.one), (0, F.neg(F.one))])
+    assert count_roots_gcd(f) == count_roots_bruteforce(f) == m
+    # gcd = 1: a polynomial without a nonzero root
+    while True:
+        f = build(F, [(0, unit()), (rng.randrange(1, F.q - 1), unit()), (F.q - 2, unit())])
+        if count_roots_bruteforce(f) == 0:
+            break
+    assert count_roots_gcd(f) == 0
+
+
+def test_gcd_oracle_never_trusts_a_corrupted_exp_table(monkeypatch):
+    # the scan's exp table with g and g**2 swapped: the oracle raises, or
+    # counts right, but never counts wrong
+    rng = random.Random(29)
+    cases = []
+    for F in (make_extension_field(3, 3), make_extension_field(2, 4), make_extension_field(7, 2)):
+        for _ in range(30):
+            d = rng.randrange(3, F.q - 1)
+            terms = [(0, F.one), (d, F.one)]
+            terms += [(rng.randrange(1, d), F.element_from_int(rng.randrange(1, F.q))) for _ in range(3)]
+            f = build(F, terms)
+            cases.append((f, count_roots_bruteforce(f)))
+    real = poly.log_tables
+
+    def corrupted(F):
+        tables = real(F)
+        exp = tables.exp.copy()
+        exp[[1, 2]] = exp[[2, 1]]
+        return tables._replace(exp=exp)
+
+    monkeypatch.setattr(poly, "log_tables", corrupted)
+    poly._packed_tables.cache_clear()
+    try:
+        for f, roots in cases:
+            try:
+                assert count_roots_gcd(f) == roots, f.terms
+            except InternalInvariantError:
+                pass
+    finally:
+        poly._packed_tables.cache_clear()
+
+
+@pytest.mark.parametrize("p, k", [(3, 10), (2, 16)])
+def test_gcd_oracle_tables_are_linear_in_q(p, k):
+    # no table is indexed by a packed value: at F_{3^10} that takes 2**30
+    F = make_extension_field(p, k)
+    sizes = [t.size for t in poly._packed_tables(F) if isinstance(t, np.ndarray)]
+    assert len(sizes) == 4
+    assert max(sizes) <= 3 * F.q
 
 
 def test_count_roots_gcd_edge_cases():

@@ -4,7 +4,10 @@ import random
 
 import pytest
 
+import tnomial.cli as cli
+import tnomial.report as report
 from tnomial import poly
+from tnomial.errors import InternalInvariantError
 from tnomial.cosets import _vanishing_cosets
 from tnomial.experiments import compute_max_R, conjecture_table
 from tnomial.field import make_extension_field, make_prime_field
@@ -143,6 +146,22 @@ def test_analyze_extension_field():
     assert rep["roots"] == {"bruteforce": 3, "gcd_degree": 3}
     assert rep["C"] == 1
     assert rep["C_note"] == "roots exist but no full coset of size > 1 vanishes"
+
+
+@pytest.mark.parametrize("argv", [["--p", "7", "x^3 + 1"], ["--p", "3", "--k", "2", "x^3 + x + 1"]])
+def test_analyze_raises_when_the_root_counts_disagree(monkeypatch, capsys, argv):
+    # a gcd count one above the scan's is a broken invariant: exit 4
+    F = make_prime_field(7) if "--k" not in argv else make_extension_field(3, 2)
+    f = parse_tnomial(F, argv[-1])
+    roots = poly.count_roots_bruteforce(f)
+    assert analyze(f)["roots"]["gcd_degree"] == roots
+    monkeypatch.setattr(report, "count_roots_gcd", lambda g: roots + 1)
+    with pytest.raises(InternalInvariantError):
+        analyze(f)
+    assert cli.main(["analyze", *argv]) == cli.EXIT_INTERNAL == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "gcd oracle" in captured.err
 
 
 def test_analyze_beyond_gcd_limit_keeps_bruteforce():
