@@ -29,7 +29,7 @@ from .errors import (
     TooFewTerms,
 )
 from .field import Element, FieldSpec
-from .params import compute_S, compute_delta
+from .params import compute_S, compute_delta, root_bound
 from .poly import TNomial, log_tables, normalize_lowest, roots_on_units
 
 # unused here, but perfbench's tracer hooks it in this module's namespace
@@ -152,6 +152,5 @@ def _decomposition_from_mask(fn: TNomial, mask) -> CosetDecomposition:
         raise InternalInvariantError(
             f"coset of g^{s} contains {counts[s]} roots, expected the full {delta}"
         )
-    eps = 1.0 / (fn.t - 1)
-    bound = 2.0 * (n // delta) ** (1.0 - eps)
+    bound = root_bound(n // delta, fn.t, 1)
     return CosetDecomposition(delta=delta, coset_count=int(np.count_nonzero(counts)), bound=bound)

@@ -31,9 +31,9 @@ polynomial vanishes: over the primes l | q-1 a nonzero count means C > 1
 (`max-r`, `conjecture`, `sample-c2`); at l = 1 the cosets are points and
 the count is R (`root-dist`).  The enumeration drivers count them with
 `_vanishing_counts`, one matmul per residue class of a sparse exponent set
-over F_p.  The samplers evaluate each dense polynomial at every unit of
-F_q by a two-stage Fourier transform over F_q (`_unit_zero_mask`) and read
-the counts off its zero mask (`_coset_counts`).
+over F_p, where R alone does not decide C > 1.  The samplers evaluate each
+dense polynomial at every unit of F_q by a two-stage Fourier transform
+over F_q (`_unit_zero_mask`) and read the counts off its zero mask.
 
 The counting kernels exploit the scalar normalization: with c_1 = 1 and
 exponents fixed, walking all (x, c_2, ..., c_{t-1}) and solving for the
@@ -217,6 +217,23 @@ def _pairing_primes(exps, n: int) -> list:
     """Primes l | n for which every exponent has a partner mod l; only
     these can carry a vanishing coset."""
     return [ell for ell in prime_divisors(n) if pairs_up(exps, ell)]
+
+
+def _c_above_1_columns(field: FieldSpec, exps: tuple, R: np.ndarray, least: int = 0):
+    """Indices of the coefficient columns of exps (0 in exps) with R >= least
+    and C > 1, given every column's root count R.  With delta = gcd(exps,
+    p-1) > 1, f is a polynomial in x**delta, so C > 1 exactly when R > 0.
+    Otherwise the kernel counts cosets of the `_pairing_primes` sizes; for
+    t <= 3 a pairing prime leaves one residue class, so it divides delta."""
+    n = field.p - 1
+    if gcd(n, *exps) > 1:
+        return np.flatnonzero(R >= max(least, 1))
+    ells = _pairing_primes(exps, n)
+    if not ells:
+        return np.zeros(0, dtype=np.intp)
+    cols = np.flatnonzero(R >= max(least, min(ells)))
+    labels = _coeff_matrix(field.p, len(exps))[:, cols]
+    return cols[_vanishing_counts(field, exps, labels, ells) > 0]
 
 
 def _blocks(total: int, width: int) -> Iterator[int]:
@@ -434,12 +451,10 @@ def compute_max_R(p: int, t: int, budget: int = DEFAULT_WORK_BUDGET) -> MaxRResu
         R = _root_count_vector(field, exps)
         if int(R.max()) <= best:
             continue
-        cand = np.flatnonzero(R > best)
-        ells = _pairing_primes(exps, n)
-        cand = cand[_vanishing_counts(field, exps, _coeff_matrix(p, t)[:, cand], ells) == 0]
-        if len(cand):
-            # first argmax = smallest admissible column: deterministic
-            col = int(cand[np.argmax(R[cand])])
+        R[_c_above_1_columns(field, exps, R, best + 1)] = -1  # out of the C <= 1 family
+        # first argmax = smallest admissible column: deterministic
+        col = int(np.argmax(R))
+        if R[col] > best:
             best, best_at = int(R[col]), (exps, col)
     if best_at is None:
         raise InternalInvariantError(f"no admissible polynomial for p={p}, t={t}")
@@ -497,17 +512,11 @@ def conjecture_table(
     counts_c1: Counter = Counter()
     for exps, weight in _affine_reps(n, t):
         R = _root_count_vector(field, exps)
-        R_c1 = R
-        ells = _pairing_primes(exps, n)
-        if ells:
-            # only columns with at least min(ells) roots can vanish on a coset
-            cols = np.flatnonzero(R >= min(ells))
-            vanishing = _vanishing_counts(field, exps, _coeff_matrix(p, t)[:, cols], ells) > 0
-            R_c1 = np.delete(R, cols[vanishing])
-        for counts, values in ((counts_all, R), (counts_c1, R_c1)):
-            hist = np.bincount(values)
-            for r in np.flatnonzero(hist):
-                counts[int(r)] += int(hist[r]) * n * weight
+        hist = np.bincount(R)
+        hist_c1 = hist - np.bincount(R[_c_above_1_columns(field, exps, R)], minlength=len(hist))
+        for counts, h in ((counts_all, hist), (counts_c1, hist_c1)):
+            for r in np.flatnonzero(h):
+                counts[int(r)] += int(h[r]) * n * weight
     total_all = sum(counts_all.values())
     total_c1 = sum(counts_c1.values())
     if total_c1 <= 0:

@@ -78,6 +78,17 @@ def compute_S(f: TNomial) -> tuple:
     return tuple(k for k in divisors(f.field.q - 1) if pairs_up(f.exponents, k))
 
 
+def root_bound(N: int, t: int, X: int) -> float:
+    """The printed root-count bound 2 * N**(1-eps) * X**eps, eps = 1/(t-1)."""
+    eps = 1.0 / (t - 1)
+    return 2.0 * N ** (1.0 - eps) * X**eps
+
+
+def within_root_bound(R: int, N: int, t: int, X: int) -> bool:
+    """R <= root_bound(N, t, X) in integers: R**(t-1) <= 2**(t-1) * N**(t-2) * X."""
+    return R ** (t - 1) <= 2 ** (t - 1) * N ** (t - 2) * X
+
+
 def compute_params(f: TNomial) -> ParamReport:
     """All exponent parameters at once.  Raises TooFewTerms for t < 2."""
     if f.t < 2:

@@ -21,8 +21,8 @@ the vanishing cosets and the coset decomposition are read off its mask.
 The gcd oracle trusts none of those tables.  It raises x to the power q-1
 mod f from the bits of q-1: the prefixes below deg f give monomials, one
 division by the Newton inverse of the reversed f reduces the next, and
-only the bits after it square and multiply, each square reduced by
-Barrett division with the same inverse.  Products are exact mod p:
+only the bits after it square, each square (times x for a set bit)
+reduced by one step of the same division.  Products are exact mod p:
 np.convolve on short vectors, float64 FFTs on long ones, each vector
 split into the fewest limbs that an a-priori rounding bound allows (one
 limb for every oracle product with p < 2**14, two for the longest ones
@@ -297,8 +297,8 @@ def roots_on_units(f: TNomial) -> np.ndarray:
 # 15x20 products of all-(p-1) vectors mod 6007 on a 2-core Xeon with numpy
 # 2.4.6, as convolve, FFT square and FFT of two vectors: length 447, 39, 41
 # and 57 us; 511, 49, 45 and 57 us; 575, 58, 44 and 61 us; 767, 88, 46 and
-# 92 us.  The oracle's long products are squares or reuse the spectrum of
-# a fixed factor, so they cost what a square does.
+# 92 us.  That suits the squares; a product of two vectors, such as a
+# quotient in the powering, breaks even nearer length 575.
 FFT_MIN_LENGTH = 512
 
 
@@ -330,17 +330,17 @@ def count_roots_gcd(f: TNomial) -> int:
 def _x_power_mod(f: TNomial, exponent: int) -> np.ndarray:
     """x**exponent mod f as deg f digit rows, for deg f >= 2.
 
-    With d = deg f, the longest binary prefix m of the exponent below d
-    gives x**m, which is reduced as it stands.  The next prefix e has
-    d <= e <= 2d - 1, and the quotient of x**e by f is the first
+    With d = deg f, the longest binary prefix of the exponent below d
+    gives a monomial, which is reduced as it stands.  The next prefix e
+    has d <= e <= 2d - 1, and the quotient of x**e by f is the first
     e - d + 1 coefficients of 1/rev(f), reversed (division by Newton
     iteration, von zur Gathen & Gerhard, Modern Computer Algebra, ch. 9),
-    so x**e mod f is that quotient times the terms of f below x**d.  Only
-    the bits after e square and multiply: each square is reduced by
-    Barrett division, one product with the same inverse cut to d - 1
-    terms, whose limb spectra are taken once, and each step by x folds
-    one coefficient.  The inverse is built once, as long as the longer of
-    the two uses needs: at e = 2d - 1 the quotient has d terms.
+    so x**e mod f needs no product beyond the inverse's.  Each later bit
+    squares, and a set bit puts one zero row in front of the square for
+    the step by x; either way v, of at most 2d rows, is reduced by one
+    step: the quotient, reversed, is rev(top m rows of v) times the first
+    m terms of the inverse, m = len(v) - d <= d.  So the inverse takes
+    d terms when anything is squared, and e - d + 1 otherwise.
     """
     F = f.field
     p, d = F.p, f.degree
@@ -352,9 +352,8 @@ def _x_power_mod(f: TNomial, exponent: int) -> np.ndarray:
     e = exponent >> (s - 1)
     fold = _fold_matrix(F)
     mul = _mul_tensor(fold)
-    lead_inv = F.inv(f.terms[-1][1])
-    length = max(e - d + 1, d - 1 if s > 1 else 0)
-    inv = _series_inverse(_dense_rows(f)[::-1], length, _digits(F, lead_inv), p, fold)
+    lead_inv = _digits(F, F.inv(f.terms[-1][1]))
+    inv = _series_inverse(_dense_rows(f)[::-1], e - d + 1 if s == 1 else d, lead_inv, p, fold)
     low = [(a, mul @ _digits(F, c) % p) for a, c in f.terms[:-1]]
 
     def sub_low(rem: np.ndarray, quo: np.ndarray) -> np.ndarray:
@@ -366,22 +365,12 @@ def _x_power_mod(f: TNomial, exponent: int) -> np.ndarray:
         return rem % p
 
     cur = sub_low(cur, inv[e - d :: -1])
-    if s == 1:
-        return cur
-    # x * x**(d-1) gains -c_a/lead x**a
-    shift = [(a, mul @ _digits(F, F.neg(F.mul(c, lead_inv))) % p) for a, c in f.terms[:-1]]
-    # every quotient is the product of d - 1 top rows with inv
-    by_inv = _fixed_factor(inv[: d - 1], d - 1, p, fold)
     for i in range(s - 2, -1, -1):
-        sq = _mul_rows(cur, cur, p, fold)  # degree <= 2d - 2
-        # the quotient, reversed, is rev(top d - 1 coefficients) * inv mod x**(d-1)
-        cur = sub_low(sq[:d], by_inv(sq[: d - 1 : -1])[d - 2 :: -1])
+        v = _mul_rows(cur, cur, p, fold)  # degree <= 2d - 2
         if exponent >> i & 1:
-            top = cur[-1].copy()
-            cur = np.roll(cur, 1, axis=0)
-            cur[0] = 0
-            for a, m in shift:
-                cur[a] = (cur[a] + top @ m) % p
+            v = np.concatenate((np.zeros_like(v[:1]), v))
+        m = len(v) - d
+        cur = sub_low(v[:d], _mul_rows(v[: d - 1 : -1], inv[:m], p, fold)[m - 1 :: -1])
     return cur
 
 
@@ -444,22 +433,6 @@ def _mul_rows(a: np.ndarray, b: np.ndarray, p: int, fold: np.ndarray) -> np.ndar
     """Exact product of two digit-row polynomials over F_{p^k}."""
     pa = _pack(a, fold)
     return _unpack(_convolve_mod_p(pa, pa if b is a else _pack(b, fold), p), p, fold)
-
-
-def _fixed_factor(b: np.ndarray, rows: int, p: int, fold: np.ndarray):
-    """The function a -> _mul_rows(a, b, p, fold) for every a of the given
-    number of rows, with b packed and its limb spectra taken once."""
-    pb = _pack(b, fold)
-    w, k = fold.shape
-    plan = _limb_plan(rows * w - (k - 1), len(pb), p)
-    if plan is None:
-        return lambda a: _mul_rows(a, b, p, fold)
-    fb = _limb_spectra(pb, plan)
-
-    def product(a: np.ndarray) -> np.ndarray:
-        return _unpack(_limb_product(_limb_spectra(_pack(a, fold), plan), fb, plan, p), p, fold)
-
-    return product
 
 
 def _convolve_mod_p(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
@@ -645,6 +618,10 @@ def _gcd_degree(F: FieldSpec, a: np.ndarray, b: np.ndarray) -> int:
     """
     p, n = F.p, F.q - 1
     if F.k == 1:
+        # a division step leaves up to len(a) unreduced products below
+        # (p - 1)**2 in one row
+        if len(a) * (p - 1) ** 2 >= 2**63:
+            raise InternalInvariantError(f"a Euclid of {len(a)} rows mod {p} would overflow int64")
         a, b = a[:, 0] % p, b[:, 0] % p
     else:
         tables = _packed_tables(F)
@@ -664,8 +641,6 @@ def _gcd_degree(F: FieldSpec, a: np.ndarray, b: np.ndarray) -> int:
             for i in range(len(r) - 1, db - 1, -1):
                 c = int(r[i]) % p
                 if c:
-                    # unreduced: up to len(a) <= q - 1 products below
-                    # p**2 pile up in one row, below 2**63 for q <= GCD_LIMIT
                     r[i - db : i] -= c * inv_lead % p * b[:db]
             a, b = b, _trim(r[:db] % p)
             continue

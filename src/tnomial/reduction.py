@@ -38,7 +38,7 @@ from .errors import (
     TooFewTerms,
 )
 from .numtheory import gcd_all
-from .params import compute_D, compute_delta
+from .params import compute_D, compute_delta, root_bound
 from .poly import TNomial, build, count_roots_bruteforce, normalize_lowest
 
 _SCAN_CHUNK = 1 << 20
@@ -235,15 +235,10 @@ def _bound_from_C(f: TNomial, C: int) -> CosetBound:
     """bound_from_C of f (t >= 2), given C(f)."""
     N = f.field.q - 1
     t = f.t
-    eps = 1.0 / (t - 1)
     c_eff = max(C, 1)
-    bound_c = 2.0 * N ** (1.0 - eps) * c_eff**eps
     delta = compute_delta(normalize_lowest(f))
-    if c_eff ** (t - 1) < delta ** (t - 2) * N:
-        bound_d = 2.0 * N ** (1.0 - eps) * delta**eps
-    else:
-        bound_d = None
-    return CosetBound(bound_C=bound_c, bound_delta=bound_d)
+    bound_d = root_bound(N, t, delta) if c_eff ** (t - 1) < delta ** (t - 2) * N else None
+    return CosetBound(bound_C=root_bound(N, t, c_eff), bound_delta=bound_d)
 
 
 def bound_from_D(f: TNomial) -> float:
@@ -251,6 +246,4 @@ def bound_from_D(f: TNomial) -> float:
     min-max pairwise exponent gcd D, eps = 1/(t-1)."""
     if f.t < 2:
         raise TooFewTerms("bounds need t >= 2")
-    N = f.field.q - 1
-    eps = 1.0 / (f.t - 1)
-    return 2.0 * N ** (1.0 - eps) * compute_D(f) ** eps
+    return root_bound(f.field.q - 1, f.t, compute_D(f))

@@ -13,7 +13,7 @@ import numpy as np
 from .cosets import _decomposition_from_mask, _vanishing_cosets
 from .errors import InternalInvariantError
 from .field import FieldSpec
-from .params import compute_params
+from .params import compute_params, within_root_bound
 from .poly import (
     BRUTE_FORCE_LIMIT,
     GCD_LIMIT,
@@ -229,10 +229,11 @@ def analyze(f: TNomial) -> dict:
         }
         verdicts: dict = {}
         if r_value is not None:
-            verdicts["R_le_bound_C"] = r_value <= cb.bound_C + 1e-9
-            verdicts["R_le_bound_D"] = r_value <= bd + 1e-9
+            N, t = q - 1, f.t
+            verdicts["R_le_bound_C"] = within_root_bound(r_value, N, t, max(c_value, 1))
+            verdicts["R_le_bound_D"] = within_root_bound(r_value, N, t, pr.D)
             verdicts["R_le_bound_delta"] = (
-                None if cb.bound_delta is None else r_value <= cb.bound_delta + 1e-9
+                None if cb.bound_delta is None else within_root_bound(r_value, N, t, dec.delta)
             )
         report["verdicts"] = verdicts
     else:

@@ -197,7 +197,8 @@ def test_affine_weights_raise_on_a_broken_partition(monkeypatch):
 
 
 def _c_above_1(field, exps, labels):
-    """C > 1 per coefficient column, decided as the drivers decide it."""
+    """C > 1 per coefficient column, from the kernel on every column given:
+    the check of the drivers' delta rule, which runs no kernel for t <= 3."""
     return _vanishing_counts(field, exps, labels, _pairing_primes(exps, field.q - 1)) > 0
 
 
@@ -256,6 +257,27 @@ def test_max_R_matches_translation_reference():
     for p, t in cases:
         res = compute_max_R(p, t)
         assert (res.value, res.witness) == _translation_max_R(p, t), (p, t)
+
+
+def test_drivers_run_no_kernel_for_t_up_to_3(monkeypatch):
+    # a pairing prime of at most three exponents divides delta, where C > 1
+    # exactly when R > 0; at t = 4 the classes of (0, 1, 2, 3) mod 2 split
+    calls = []
+    real = experiments._vanishing_counts
+
+    def counted(*args):
+        calls.append(args[1])
+        return real(*args)
+
+    monkeypatch.setattr(experiments, "_vanishing_counts", counted)
+    for p, t in [(p, 2) for p in _primes(3, 61)] + [(p, 3) for p in _primes(5, 31)]:
+        got = {rec.r: (rec.count_all, rec.count_c1) for rec in conjecture_table(p, t)}
+        res = compute_max_R(p, t)
+        assert calls == [], (p, t)
+        assert got == _translation_histograms(p, t), (p, t)
+        assert (res.value, res.witness) == _translation_max_R(p, t), (p, t)
+    conjecture_table(7, 4)
+    assert (0, 1, 2, 3) in calls
 
 
 # -- counting kernels against the object-level oracle -------------------------

@@ -13,6 +13,8 @@ from tnomial.params import (
     compute_S,
     compute_delta,
     compute_params,
+    root_bound,
+    within_root_bound,
 )
 from tnomial.poly import build
 
@@ -140,3 +142,25 @@ def test_params_invariant_under_scaling():
     f = _poly(F13, [0, 2, 5])
     g = build(F13, [(0, 4), (2, 4), (5, 4)])
     assert compute_params(f) == compute_params(g)
+
+
+@pytest.mark.parametrize(
+    "N, t, X, R",
+    [(5, 2, 3, 6), (9, 3, 1, 6), (2, 4, 2, 4), (1000, 2, 7, 14), (20, 3, 5, 20), (16, 4, 2, 16)],
+)
+def test_root_bound_verdict_is_exact_at_equality(N, t, X, R):
+    # R**(t-1) == 2**(t-1) * N**(t-2) * X: R is the bound itself
+    assert R ** (t - 1) == 2 ** (t - 1) * N ** (t - 2) * X
+    assert within_root_bound(R - 1, N, t, X)
+    assert within_root_bound(R, N, t, X)
+    assert not within_root_bound(R + 1, N, t, X)
+    assert root_bound(N, t, X) == pytest.approx(R)
+
+
+def test_root_bound_verdict_where_the_float_slack_is_wrong():
+    # found by search: R**2 = 4*N*X + 1, so R is just above the t = 3 bound,
+    # by about 1/(2R) < 1e-9, while the float bound rounds to R plus one ulp
+    R, N, X = 2147475653, 2147475654, 536868913
+    assert N < 2**31 and R**2 == 4 * N * X + 1
+    assert R <= root_bound(N, 3, X) + 1e-9
+    assert not within_root_bound(R, N, 3, X)

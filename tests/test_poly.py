@@ -19,7 +19,6 @@ from tnomial.poly import (
     BRUTE_FORCE_LIMIT,
     FFT_MIN_LENGTH,
     TNomial,
-    GCD_LIMIT,
     _convolve_mod_p,
     _limb_plan,
     _x_power_mod,
@@ -132,8 +131,7 @@ def test_count_roots_binomial_closed_form():
 def test_count_roots_gcd_matches_bruteforce_random():
     rng = random.Random(5)
     # products up to p = 257 stay below FFT_MIN_LENGTH; at p = 2003 the
-    # long ones go through the one-limb FFT, and the Barrett quotients
-    # reuse the spectrum of the inverse
+    # long ones go through the one-limb FFT
     for p, polys in [(7, 40), (13, 40), (101, 40), (257, 40), (2003, 12)]:
         F = make_prime_field(p)
         for _ in range(polys):
@@ -319,36 +317,47 @@ def test_x_power_mod_at_divisors_of_the_group_order():
 
 
 def test_count_roots_gcd_squares_only_the_bits_above_the_degree(monkeypatch):
-    # above (q - 1)/2 one reduction of x**(q-1) is the whole powering: no
-    # Barrett factor and no full-length square; at or below (q - 1)/4 at
-    # least one bit is left to square
-    calls = {"factor": 0, "square": 0}
-    real_factor, real_mul_rows = poly._fixed_factor, poly._mul_rows
+    # above (q - 1)/2 one division of x**(q-1) by the Newton inverse, built
+    # to q - d terms, is the whole powering: no product outside the
+    # inverse's; at or below (q - 1)/4 at least one bit is left to square,
+    # and every quotient then reads d terms of the inverse
+    calls = {}
+    real_inverse, real_mul_rows = poly._series_inverse, poly._mul_rows
 
-    def factor(*args):
-        calls["factor"] += 1
-        return real_factor(*args)
+    def series_inverse(rev, m, *args):
+        calls.update(terms=m, inverse=True)
+        try:
+            return real_inverse(rev, m, *args)
+        finally:
+            calls["inverse"] = False
 
     def mul_rows(a, b, *args):
-        if a is b and len(a) == d:  # d: the degree under test below
-            calls["square"] += 1
+        if not calls["inverse"]:
+            calls["products"] += 1
+            calls["squares"] += a is b
         return real_mul_rows(a, b, *args)
 
-    monkeypatch.setattr(poly, "_fixed_factor", factor)
+    monkeypatch.setattr(poly, "_series_inverse", series_inverse)
     monkeypatch.setattr(poly, "_mul_rows", mul_rows)
     for F in (make_prime_field(2003), make_extension_field(3, 5)):
         n = F.q - 1
         for d, squares in [(n // 2 + 1, False), (n - 1, False), (n // 4, True), (n // 8, True)]:
-            calls.update(factor=0, square=0)
+            calls.update(products=0, squares=0, inverse=False, terms=None)
             f = build(F, [(0, F.one), (d // 3, F.one), (d, F.neg(F.one))])
             assert count_roots_gcd(f) == count_roots_bruteforce(f)
-            assert (calls["factor"] > 0, calls["square"] > 0) == (squares, squares), (F.q, d, calls)
+            assert (calls["squares"] > 0) == squares, (F.q, d, calls)
+            if squares:
+                assert calls["terms"] == d, (F.q, d, calls)
+            else:
+                assert (calls["products"], calls["terms"]) == (0, n - d + 1), (F.q, d, calls)
 
 
-def test_dense_gcd_leaves_int64_headroom():
-    # over F_p, _gcd_degree subtracts up to d + 1 < GCD_LIMIT unreduced
-    # products below p**2 into one row per remainder step
-    assert GCD_LIMIT * (GCD_LIMIT - 1) ** 2 < 2**63
+def test_gcd_degree_refuses_int64_overflow():
+    # over F_p, _gcd_degree subtracts up to len(a) unreduced products below
+    # p**2 into one row; at p = 2**31 - 1 two of them already pass 2**63
+    F = make_prime_field(2**31 - 1)
+    with pytest.raises(InternalInvariantError):
+        poly._gcd_degree(F, _rows(F, [1, 0, 1]), _rows(F, [1, 1]))
 
 
 def _gcd_degree_reference(F, a, b):
