@@ -29,13 +29,14 @@ which keeps the `max-r` witness the one a translation-only walk finds.
 Both kinds of command count the cosets {x : x**l = beta} on which a
 polynomial vanishes: over the primes l | q-1 a nonzero count means C > 1
 (`max-r`, `conjecture`, `sample-c2`); at l = 1 the cosets are points and
-the count is R (`root-dist`).  The enumeration drivers count them with
-`_vanishing_counts`, one matmul per residue class of a sparse exponent set
-over F_p, where R alone does not decide C > 1.  The samplers evaluate each
-dense polynomial at every unit of F_q by a two-stage Fourier transform
-over F_q (`_unit_zero_mask`) and read the counts off its zero mask.
+the count is R (`root-dist`).  The enumeration drivers read both R and
+C > 1 off one list of (column, root) incidences, `_root_incidences`: a
+column vanishes on a coset of l units exactly when l of its roots share a
+residue class.  The samplers evaluate each dense polynomial at every unit
+of F_q by a two-stage Fourier transform over F_q (`_unit_zero_mask`) and
+read the counts off its zero mask.
 
-The counting kernels exploit the scalar normalization: with c_1 = 1 and
+The incidence kernel exploits the scalar normalization: with c_1 = 1 and
 exponents fixed, walking all (x, c_2, ..., c_{t-1}) and solving for the
 unique c_t that makes x a root visits every (polynomial, root) incidence
 exactly once, at cost (p-1)**(t-1) instead of (p-1)**t.
@@ -177,29 +178,31 @@ def _poly_from_column(field: FieldSpec, exps: tuple, col: int) -> TNomial:
     return build(field, zip(exps, _coeff_matrix(field.p, len(exps))[:, col].tolist()))
 
 
-def _root_count_vector(field: FieldSpec, exps: tuple) -> np.ndarray:
-    """R(f) for every scalar-normalized coefficient column over the given
-    exponent set, by incidence counting.
+def _root_incidences(field: FieldSpec, exps: tuple) -> tuple:
+    """Every (polynomial, root) incidence over the given exponent set, as
+    arrays (col, valid): col holds the scalar-normalized coefficient column
+    of each incidence, in the order of the grid points F that valid flags,
+    and the root is g**j with j = F mod p-1.  R is np.bincount(col), and
+    each (column, j) pair occurs at most once.
 
     For each unit x = g**j and each prefix (c_2, ..., c_{t-1}) there is
     exactly one c_t with f(x) = 0, namely -(1 + sum c_i x**a_i) / x**a_t,
     admissible when nonzero.  Grid point F is column F of `_coeff_matrix`:
     its rows 1 .. t-2 hold the prefix and its last row j + 1, so the
-    incidence lands in column F - j + c_t - 1.  One bincount per chunk
-    accumulates the incidences.
+    incidence lands in column F - j + c_t - 1.
     """
     p = field.p
     n = p - 1
     t = len(exps)
     if t == 1:
-        return np.zeros(1, dtype=np.int64)
+        return np.zeros(0, dtype=np.int64), np.zeros(1, dtype=bool)
     grid = _coeff_matrix(p, t)
     m = grid.shape[1]  # the (x, prefix) grid has the size of the column space
     pw = log_tables(field).exp
     j_idx = np.arange(n, dtype=np.int64)
     xa = [pw[(a * j_idx) % n] for a in exps[1:-1]]
     inv_xat = pw[(-exps[-1] * j_idx) % n]
-    counts = np.zeros(m, dtype=np.int64)
+    cols, valids = [], []
     for start in range(0, m, _CHUNK):
         block = grid[:, start : start + _CHUNK]
         j = block[-1] - 1
@@ -209,8 +212,9 @@ def _root_count_vector(field: FieldSpec, exps: tuple) -> np.ndarray:
         ct = (p - s) % p * inv_xat[j] % p
         valid = ct != 0
         col = np.arange(start, start + len(j), dtype=np.int64) - j + ct - 1
-        counts += np.bincount(col[valid], minlength=m)
-    return counts
+        cols.append(col[valid])
+        valids.append(valid)
+    return np.concatenate(cols), np.concatenate(valids)
 
 
 def _pairing_primes(exps, n: int) -> list:
@@ -219,21 +223,39 @@ def _pairing_primes(exps, n: int) -> list:
     return [ell for ell in prime_divisors(n) if pairs_up(exps, ell)]
 
 
-def _c_above_1_columns(field: FieldSpec, exps: tuple, R: np.ndarray, least: int = 0):
+def _c_above_1_columns(
+    field: FieldSpec, exps: tuple, R: np.ndarray, col: np.ndarray, valid: np.ndarray, least: int = 0
+) -> np.ndarray:
     """Indices of the coefficient columns of exps (0 in exps) with R >= least
-    and C > 1, given every column's root count R.  With delta = gcd(exps,
-    p-1) > 1, f is a polynomial in x**delta, so C > 1 exactly when R > 0.
-    Otherwise the kernel counts cosets of the `_pairing_primes` sizes; for
-    t <= 3 a pairing prime leaves one residue class, so it divides delta."""
+    and C > 1, given the incidences (col, valid) of `_root_incidences` and
+    R = np.bincount(col).  With delta = gcd(exps, p-1) > 1, f is a
+    polynomial in x**delta, so C > 1 exactly when R > 0.  Otherwise the
+    cosets of the `_pairing_primes` sizes l decide, each over the columns
+    with R >= max(least, l); for t <= 3 a pairing prime leaves one residue
+    class, so it divides delta."""
     n = field.p - 1
     if gcd(n, *exps) > 1:
         return np.flatnonzero(R >= max(least, 1))
-    ells = _pairing_primes(exps, n)
-    if not ells:
-        return np.zeros(0, dtype=np.intp)
-    cols = np.flatnonzero(R >= max(least, min(ells)))
-    labels = _coeff_matrix(field.p, len(exps))[:, cols]
-    return cols[_vanishing_counts(field, exps, labels, ells) > 0]
+    flagged = np.zeros(len(R), dtype=bool)
+    for ell in _pairing_primes(exps, n):
+        flagged[_coset_columns(col, valid, R >= max(least, ell), n // ell, ell)] = True
+    return np.flatnonzero(flagged)
+
+
+def _coset_columns(col, valid, kept: np.ndarray, w: int, ell: int) -> np.ndarray:
+    """The kept columns that vanish on a coset {x : x**ell = beta} of ell
+    units, n = ell*w: g**j lies on the coset of g**v, v < w, iff j = v mod w,
+    and as each (column, j) pair occurs once, the coset is all roots iff ell
+    incidences of the column share its class.  The class of grid point F
+    is F mod w, since w | n.  Each kept column owns a block of w keys, one
+    per class, and every other column the spare block after them, so one
+    bincount counts every (column, class) pair."""
+    cols = np.flatnonzero(kept)
+    size = len(cols) * w
+    block = np.full(len(kept), size)
+    block[cols] = np.arange(0, size, w)
+    full = np.bincount(block[col] + np.flatnonzero(valid) % w) == ell
+    return cols[np.flatnonzero(full[:size]) // w]
 
 
 def _blocks(total: int, width: int) -> Iterator[int]:
@@ -242,45 +264,6 @@ def _blocks(total: int, width: int) -> Iterator[int]:
     block = max(1, min(total, (1 << 23) // width))
     for start in range(0, total, block):
         yield min(block, total - start)
-
-
-def _vanishing_counts(field: FieldSpec, exps, labels: np.ndarray, ells) -> np.ndarray:
-    """For each coefficient column over F_p, the number of cosets
-    {x : x**l = beta}, l in ells (each l | p-1), on which that polynomial
-    vanishes.
-
-    labels is a (t, m) array; column j holds the coefficients c_i of one
-    polynomial f = sum_i c_i x**a_i.  f vanishes on x**l = beta =
-    g**(l*v) iff all residue class sums sum_{a_i = r mod l} c_i beta**u_i,
-    u_i = a_i div l, are zero: over `_pairing_primes` a count is nonzero
-    iff C(f) > 1, and at l = 1 the count is R(f).  A class sum is one exact
-    float64 matmul with W[v, i] = beta**u_i.  beta is walked in blocks, so
-    that the sums and the vanishing flags hold at most 2**23 entries each.
-    """
-    p, n = field.p, field.p - 1
-    t, m = labels.shape
-    _require_exact_float64(t * (p - 1) ** 2)
-    counts = np.zeros(m, dtype=np.int64)
-    pw = log_tables(field).exp
-    values = labels.astype(np.float64)
-    for ell in ells:
-        classes: dict[int, list] = {}
-        for i, a in enumerate(exps):
-            classes.setdefault(a % ell, []).append(i)
-        class_us = [np.array([exps[i] // ell for i in idxs]) for idxs in classes.values()]
-        class_values = [values[idxs] for idxs in classes.values()]
-        start = 0
-        for size in _blocks(n // ell, m):
-            v = np.arange(start, start + size, dtype=np.int64)
-            start += size
-            van = np.ones((size, m), dtype=bool)
-            for us, cv in zip(class_us, class_values):
-                sums = pw[np.multiply.outer(ell * v, us) % n].astype(np.float64) @ cv
-                sums /= p
-                van &= sums == np.floor(sums)
-            # `_blocks` gives at most 2**23 rows of beta, so int32 column sums cannot overflow
-            counts += van.sum(axis=0, dtype=np.int32)
-    return counts
 
 
 # -- evaluation at every unit: a two-stage Fourier transform over F_q ---------
@@ -434,7 +417,7 @@ def compute_max_R(p: int, t: int, budget: int = DEFAULT_WORK_BUDGET) -> MaxRResu
 
     One exponent set per affine orbit is scanned.  Sets whose kernel
     maximum cannot beat the running best are skipped; for the rest the
-    vanishing-coset counts filter out C > 1 columns.  Whether a set has
+    same incidences filter out C > 1 columns.  Whether a set has
     a C <= 1 column with R = V is an orbit property, and each orbit's
     representative is its first member in translation order, so the
     first representative to reach the record is the first translation
@@ -448,14 +431,15 @@ def compute_max_R(p: int, t: int, budget: int = DEFAULT_WORK_BUDGET) -> MaxRResu
     best = -1
     best_at = None
     for exps, _weight in _affine_reps(n, t):
-        R = _root_count_vector(field, exps)
+        col, valid = _root_incidences(field, exps)
+        R = np.bincount(col, minlength=len(valid))
         if int(R.max()) <= best:
             continue
-        R[_c_above_1_columns(field, exps, R, best + 1)] = -1  # out of the C <= 1 family
+        R[_c_above_1_columns(field, exps, R, col, valid, best + 1)] = -1  # out of the C <= 1 family
         # first argmax = smallest admissible column: deterministic
-        col = int(np.argmax(R))
-        if R[col] > best:
-            best, best_at = int(R[col]), (exps, col)
+        top = int(np.argmax(R))
+        if R[top] > best:
+            best, best_at = int(R[top]), (exps, top)
     if best_at is None:
         raise InternalInvariantError(f"no admissible polynomial for p={p}, t={t}")
     witness = _poly_from_column(field, *best_at)
@@ -511,9 +495,11 @@ def conjecture_table(
     counts_all: Counter = Counter()
     counts_c1: Counter = Counter()
     for exps, weight in _affine_reps(n, t):
-        R = _root_count_vector(field, exps)
+        col, valid = _root_incidences(field, exps)
+        R = np.bincount(col, minlength=len(valid))
         hist = np.bincount(R)
-        hist_c1 = hist - np.bincount(R[_c_above_1_columns(field, exps, R)], minlength=len(hist))
+        above = R[_c_above_1_columns(field, exps, R, col, valid)]
+        hist_c1 = hist - np.bincount(above, minlength=len(hist))
         for counts, h in ((counts_all, hist), (counts_c1, hist_c1)):
             for r in np.flatnonzero(h):
                 counts[int(r)] += int(h[r]) * n * weight

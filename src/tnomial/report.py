@@ -2,11 +2,13 @@
 
 JSON is emitted by a small recursive writer rather than the json module
 so that float formatting is pinned (12 significant digits, shortest
-form) and output bytes are reproducible across platforms.  Key order is
-insertion order.
+form) and output bytes are reproducible across platforms; only strings
+go through json.dumps.  Key order is insertion order.
 """
 
 from __future__ import annotations
+
+import json
 
 import numpy as np
 
@@ -56,7 +58,7 @@ def render_json(obj, indent: int = 0) -> str:
     if isinstance(obj, float):
         return format_float(obj)
     if isinstance(obj, str):
-        return _json_string(obj)
+        return json.dumps(obj, ensure_ascii=False)
     if isinstance(obj, (list, tuple)):
         if not obj:
             return "[]"
@@ -68,30 +70,12 @@ def render_json(obj, indent: int = 0) -> str:
     if isinstance(obj, dict):
         if not obj:
             return "{}"
-        rows = []
-        for k, v in obj.items():
-            rows.append(
-                "  " * (indent + 1) + _json_string(str(k)) + ": " + render_json(v, indent + 1)
-            )
+        rows = [
+            "  " * (indent + 1) + render_json(str(k)) + ": " + render_json(v, indent + 1)
+            for k, v in obj.items()
+        ]
         return "{\n" + ",\n".join(rows) + "\n" + pad + "}"
     raise TypeError(f"cannot serialize {type(obj).__name__}")
-
-
-def _json_string(s: str) -> str:
-    out = ['"']
-    for ch in s:
-        if ch == '"':
-            out.append('\\"')
-        elif ch == "\\":
-            out.append("\\\\")
-        elif ch == "\n":
-            out.append("\\n")
-        elif ord(ch) < 0x20:
-            out.append(f"\\u{ord(ch):04x}")
-        else:
-            out.append(ch)
-    out.append('"')
-    return "".join(out)
 
 
 def element_json(field: FieldSpec, x):

@@ -28,21 +28,20 @@ from tnomial.experiments import (
     estimate_enumeration_work,
     root_distribution_sample,
     sample_vanishing_proportion,
+    _c_above_1_columns,
     _coeff_matrix,
     _coset_counts,
     _affine_reps,
     _nonzero_rows,
     _orbit_reps,
-    _pairing_primes,
     _poly_from_column,
-    _root_count_vector,
+    _root_incidences,
     _sampled_counts,
     _unit_transform,
     _unit_zero_mask,
-    _vanishing_counts,
 )
 from tnomial.field import make_extension_field, make_prime_field
-from tnomial.numtheory import is_prime
+from tnomial.numtheory import is_prime, prime_divisors
 from tnomial.poly import (
     build,
     count_roots_bruteforce,
@@ -196,10 +195,24 @@ def test_affine_weights_raise_on_a_broken_partition(monkeypatch):
 # -- translation-only references of the drivers --------------------------------
 
 
+def _root_counts(field, exps):
+    col, valid = _root_incidences(field, exps)
+    return np.bincount(col, minlength=len(valid))
+
+
 def _c_above_1(field, exps, labels):
-    """C > 1 per coefficient column, from the kernel on every column given:
-    the check of the drivers' delta rule, which runs no kernel for t <= 3."""
-    return _vanishing_counts(field, exps, labels, _pairing_primes(exps, field.q - 1)) > 0
+    """C > 1 per coefficient column, read off the log-domain root mask of
+    every column given, in batches, and the samplers' coset counts over
+    every prime l | q-1: a reference that shares neither the drivers'
+    incidences, nor their delta rule, nor their choice of primes."""
+    n = field.q - 1
+    logs = log_tables(field).log[labels.T]
+    mask = np.zeros(len(logs), dtype=bool)
+    batch = max(1, 2**14 // n)
+    for s in range(0, len(logs), batch):
+        zero = root_mask(field, exps, logs[s : s + batch])
+        mask[s : s + batch] = _coset_counts(zero, prime_divisors(n)) > 0
+    return mask
 
 
 def _translation_max_R(p, t):
@@ -209,12 +222,11 @@ def _translation_max_R(p, t):
     n = p - 1
     best, best_at = -1, None
     for exps, _ in _orbit_reps(n, t):
-        R = _root_count_vector(field, exps)
+        R = _root_counts(field, exps)
         if int(R.max()) <= best:
             continue
         cand = np.flatnonzero(R > best)
-        if _pairing_primes(exps, n):
-            cand = cand[~_c_above_1(field, exps, _coeff_matrix(p, t)[:, cand])]
+        cand = cand[~_c_above_1(field, exps, _coeff_matrix(p, t)[:, cand])]
         if len(cand):
             col = int(cand[np.argmax(R[cand])])
             best, best_at = int(R[col]), (exps, col)
@@ -223,13 +235,16 @@ def _translation_max_R(p, t):
 
 def _translation_histograms(p, t):
     """{r: (count_all, count_c1)} over every translation representative,
-    with the coset mask on every column."""
+    with the reference coset mask on every column with two roots or more:
+    a coset of prime size holds at least two."""
     field = make_prime_field(p)
     n = p - 1
     all_, c1 = Counter(), Counter()
     for exps, orbit in _orbit_reps(n, t):
-        R = _root_count_vector(field, exps)
-        mask = _c_above_1(field, exps, _coeff_matrix(p, t))
+        R = _root_counts(field, exps)
+        mask = np.zeros(len(R), dtype=bool)
+        cand = np.flatnonzero(R >= 2)
+        mask[cand] = _c_above_1(field, exps, _coeff_matrix(p, t)[:, cand])
         for hist, vals in ((all_, R), (c1, R[~mask])):
             for r, c in zip(*np.unique(vals, return_counts=True)):
                 hist[int(r)] += int(c) * n * orbit
@@ -263,13 +278,13 @@ def test_drivers_run_no_kernel_for_t_up_to_3(monkeypatch):
     # a pairing prime of at most three exponents divides delta, where C > 1
     # exactly when R > 0; at t = 4 the classes of (0, 1, 2, 3) mod 2 split
     calls = []
-    real = experiments._vanishing_counts
+    real = experiments._coset_columns
 
-    def counted(*args):
-        calls.append(args[1])
-        return real(*args)
+    def counted(col, valid, kept, w, ell):
+        calls.append((w, ell))
+        return real(col, valid, kept, w, ell)
 
-    monkeypatch.setattr(experiments, "_vanishing_counts", counted)
+    monkeypatch.setattr(experiments, "_coset_columns", counted)
     for p, t in [(p, 2) for p in _primes(3, 61)] + [(p, 3) for p in _primes(5, 31)]:
         got = {rec.r: (rec.count_all, rec.count_c1) for rec in conjecture_table(p, t)}
         res = compute_max_R(p, t)
@@ -277,7 +292,16 @@ def test_drivers_run_no_kernel_for_t_up_to_3(monkeypatch):
         assert got == _translation_histograms(p, t), (p, t)
         assert (res.value, res.witness) == _translation_max_R(p, t), (p, t)
     conjecture_table(7, 4)
-    assert (0, 1, 2, 3) in calls
+    assert (3, 2) in calls
+
+
+def test_drivers_agree_across_chunk_boundaries(monkeypatch):
+    # 12**3 and 6**4 columns are no multiple of 5: the incidences of every
+    # chunk, the short last one included, are joined before any count
+    cases = [(13, 4), (7, 5)]
+    expected = [(conjecture_table(p, t), compute_max_R(p, t)) for p, t in cases]
+    monkeypatch.setattr(experiments, "_CHUNK", 5)
+    assert [(conjecture_table(p, t), compute_max_R(p, t)) for p, t in cases] == expected
 
 
 # -- counting kernels against the object-level oracle -------------------------
@@ -294,10 +318,16 @@ def test_coeff_matrix_column_order_and_read_only():
 def test_kernel_root_counts_match_bruteforce():
     field = make_prime_field(7)
     exps = (0, 2, 3)
-    R = _root_count_vector(field, exps)
-    for col in range(36):
-        f = _poly_from_column(field, exps, col)
-        assert int(R[col]) == count_roots_bruteforce(f)
+    R = _root_counts(field, exps)
+    col, valid = _root_incidences(field, exps)
+    j = np.flatnonzero(valid) % 6
+    log = log_tables(field).log
+    for c in range(36):
+        f = _poly_from_column(field, exps, c)
+        assert int(R[c]) == count_roots_bruteforce(f)
+        # the incidences name the roots themselves, each once
+        mask = root_mask(field, exps, log[_coeff_matrix(7, 3)[:, c]])
+        assert j[col == c].tolist() == np.flatnonzero(mask).tolist()
 
 
 def _coset_mask_columns(field, rng):
@@ -320,18 +350,28 @@ def _coset_mask_columns(field, rng):
 
 
 def test_coset_mask_matches_compute_C():
-    # the prime-size cosets decide C > 1; l = 1 counts the roots
+    # the prime-size cosets decide C > 1: the reference on (0, 2, 4),
+    # which pairs up mod 2 with delta = 2, and on (0, 1, 2, 3), where
+    # delta = 1 and the drivers' coset step decides each column
     field = make_prime_field(7)
-    exps = (0, 2, 4)  # pairs up mod 2, so vanishing cosets are possible
-    mask = _c_above_1(field, exps, _coeff_matrix(7, 3))
-    R = _vanishing_counts(field, exps, _coeff_matrix(7, 3), (1,))
-    for col in range(36):
-        f = _poly_from_column(field, exps, col)
-        assert bool(mask[col]) == (compute_C(f) > 1)
-        assert int(R[col]) == count_roots_bruteforce(f)
-    # column-restricted evaluation agrees with the full mask
-    cols = np.array([1, 5, 17, 30])
-    assert np.array_equal(_c_above_1(field, exps, _coeff_matrix(7, 3)[:, cols]), mask[cols])
+    for exps in [(0, 2, 4), (0, 1, 2, 3)]:
+        labels = _coeff_matrix(7, len(exps))
+        mask = _c_above_1(field, exps, labels)
+        col, valid = _root_incidences(field, exps)
+        R = np.bincount(col, minlength=labels.shape[1])
+        above = _c_above_1_columns(field, exps, R, col, valid)
+        expected = [
+            c for c in range(labels.shape[1]) if compute_C(_poly_from_column(field, exps, c)) > 1
+        ]
+        assert np.flatnonzero(mask).tolist() == above.tolist() == expected, exps
+        # column-restricted evaluation agrees with the full mask
+        cols = np.array([1, 5, 17, 30])
+        assert np.array_equal(_c_above_1(field, exps, labels[:, cols]), mask[cols])
+    # 1 + c*x**32768 vanishes on the squares (c = -1) or the non-squares (c = 1)
+    big = make_prime_field(65537)
+    col, valid = _root_incidences(big, (0, 32768))
+    R = np.bincount(col, minlength=65536)
+    assert _c_above_1_columns(big, (0, 32768), R, col, valid).tolist() == [0, 65535]
     # dense columns: the samplers' transform, with planted cosets over
     # F_{p^k} and F_p
     rng = random.Random(7)
@@ -391,23 +431,6 @@ def test_sampler_memory_at_f4096_holds_no_dense_table():
         tracemalloc.stop()
     assert peak < 64 * 2**20
     assert est.estimate == 0.0
-
-
-def test_coset_mask_memory_is_bounded():
-    # 32768 values of beta times 65536 columns: each block of beta holds
-    # at most 2**23 entries, where one unblocked (beta, column) array
-    # would take 2 GB as flags and 16 GB as float64 sums
-    field = make_prime_field(65537)
-    labels = _coeff_matrix(65537, 2)
-    tracemalloc.start()
-    try:
-        mask = _c_above_1(field, (0, 32768), labels)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 256 * 2**20
-    # 1 + c*x**32768 vanishes on the squares (c = -1) or the non-squares (c = 1)
-    assert np.flatnonzero(mask).tolist() == [0, 65535]
 
 
 # -- distribution tables ------------------------------------------------------
@@ -725,11 +748,9 @@ def test_root_distribution_sample_validation():
 
 
 def test_float64_kernels_refuse_inexact_fields(monkeypatch):
-    # (p-1)**2 alone is close to 2**62 here, so every float64 matmul kernel
-    # must raise before it builds anything
+    # (p-1)**2 alone is close to 2**62 here, so the samplers' float64
+    # transform must raise before it builds anything
     big = make_prime_field(2**31 - 1)
-    with pytest.raises(InternalInvariantError):
-        _c_above_1(big, (0, 1, 2), np.ones((3, 1), dtype=np.int64))
     monkeypatch.setattr(experiments, "SAMPLING_FIELD_LIMIT", 2**31)
 
     def no_draw(*args):  # one (1, 2**31 - 2) int64 row is 17 GB

@@ -58,6 +58,7 @@ def test_render_json_string_escapes():
     assert render_json("a\\b") == '"a\\\\b"'
     assert render_json("line\nbreak") == '"line\\nbreak"'
     assert render_json("\x01") == '"\\u0001"'
+    assert render_json("a\tb") == '"a\\tb"'
 
 
 def test_render_json_containers():
