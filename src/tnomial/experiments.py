@@ -75,16 +75,6 @@ _CHUNK = 1 << 20
 _SUB_BLOCK = 1 << 15
 
 
-def _require_exact_float64(*sums: int) -> None:
-    """Each argument bounds the integers one float64 kernel stage can hold.
-    Below 2**53 the sums are exact, and an integer sum s has s / p whole
-    iff p | s; the kernels check their bounds before they build anything."""
-    if max(sums) >= 2**53:
-        raise InternalInvariantError(
-            f"float64 sums up to {max(sums)} exceed 2**53 and would round"
-        )
-
-
 def _validate_t(p: int, t: int) -> None:
     if not 1 <= t <= p - 1:
         raise InvalidT(f"term count t={t} must lie in [1, {p - 1}] for p={p}")
@@ -258,14 +248,6 @@ def _coset_columns(col, valid, kept: np.ndarray, w: int, ell: int) -> np.ndarray
     return cols[np.flatnonzero(full[:size]) // w]
 
 
-def _blocks(total: int, width: int) -> Iterator[int]:
-    """Sizes of consecutive blocks of total items of width entries each,
-    at most 2**23 entries per block (one item when an item is wider)."""
-    block = max(1, min(total, (1 << 23) // width))
-    for start in range(0, total, block):
-        yield min(block, total - start)
-
-
 # -- evaluation at every unit: a two-stage Fourier transform over F_q ---------
 
 
@@ -291,15 +273,16 @@ def _unit_transform(field: FieldSpec) -> tuple:
     the n2 x n2 table g**(n1*i2*j2), each entry its k x k digit matrix.
     Stage 1 sums k*n1 products of digits below p, the reduction mod p
     leaves digits below p, a twiddled digit sums k products, and stage 2
-    sums k*n2 products of a twiddled digit and a digit; all of that is
-    checked below 2**53 before any table is built.
+    sums k*n2 products of a twiddled digit and a digit.  Below 2**53 those
+    float64 sums are exact, and an integer sum s has s / p whole iff p | s,
+    so the bound is checked before any table is built.
     """
     p, k, n = field.p, field.k, field.q - 1
     n1 = max(d for d in divisors(n) if d * d <= n)
     n2 = n // n1
-    _require_exact_float64(
-        k * n1 * (p - 1) ** 2, k * (p - 1) ** 2, k * n2 * (p - 1) * k * (p - 1) ** 2
-    )
+    top = max(k * n1 * (p - 1) ** 2, k * (p - 1) ** 2, k * n2 * (p - 1) * k * (p - 1) ** 2)
+    if top >= 2**53:
+        raise InternalInvariantError(f"float64 sums up to {top} exceed 2**53 and would round")
     a1, a2 = np.arange(n1, dtype=np.int64), np.arange(n2, dtype=np.int64)
     return (
         _digit_matrix(field, n2 * np.multiply.outer(a1, a1)),
@@ -312,44 +295,39 @@ def _unit_zero_mask(field: FieldSpec, transform: tuple, rows: np.ndarray) -> np.
     """Zero mask of dense polynomials at every unit: entry [s, j] is True iff
     f_s(g**j) = 0, where rows[s, i] is the label of the coefficient of x**i.
 
-    Rows go through in sub-blocks of at most 2**15 float64 entries (one row
-    when a row is longer), so the four working buffers stay in cache.  The
-    digits are laid out (sample, digit, i1, i2), so stage 1 is one table
-    broadcast over the samples, and the twiddle writes (sample, j1, digit,
-    i2), so stage 2 is one matmul with W2 transposed; at k = 1 neither
-    layout moves a sample's entries.
+    The rows go through in one pass, in four float64 working buffers of
+    the rows' size.  The digits are laid out (sample, digit, i1, i2), so
+    stage 1 is one table broadcast over the samples, and the twiddle writes
+    (sample, j1, digit, i2), so stage 2 is one matmul with W2 transposed;
+    at k = 1 neither layout moves a sample's entries.
     """
     W1, T, W2 = transform
     p, k, n = field.p, field.k, field.q - 1
     n1 = len(W1) // k
     n2 = n // n1
+    m = len(rows)
+    digits, Y, Z, tmp = np.empty((4, m, k * n))
+    rest = rows
+    for d in range(k - 1):
+        rest, digits[:, d * n : (d + 1) * n] = np.divmod(rest, p)
+    digits[:, (k - 1) * n :] = rest
+    Y = np.matmul(W1, digits.reshape(m, k * n1, n2), out=Y.reshape(m, k * n1, n2))
+    # below 2**53 floor(Y / p) is the exact quotient, so Y becomes Y mod p
+    quot = tmp.reshape(Y.shape)
+    np.floor(np.divide(Y, p, out=quot), out=quot)
+    Y -= np.multiply(quot, p, out=quot)
+    Y, Z = Y.reshape(m, k, n1, n2), Z.reshape(m, n1, k, n2)
+    for e2 in range(k):
+        np.multiply(Y[:, 0], T[e2, :, 0], out=Z[:, :, e2])
+        for e in range(1, k):
+            Z[:, :, e2] += Y[:, e] * T[e2, :, e]
+    sums = np.matmul(Z.reshape(m * n1, k * n2), W2.T, out=digits.reshape(m * n1, k * n2))
+    sums /= p  # whole iff p | sums, since the sums are integers below 2**53
+    whole = sums == np.floor(sums, out=tmp.reshape(sums.shape))
+    # j = j1 + n1*j2: write (j1, j2) into a (j2, j1) view of the rows
     zero = np.empty(rows.shape, dtype=bool)
-    sub = max(1, _SUB_BLOCK // (k * n))
-    bufs = np.empty((4, min(sub, len(rows)), k * n))
-    for start in range(0, len(rows), sub):
-        block = rows[start : start + sub]
-        m = len(block)
-        digits, Y, Z, tmp = bufs[:, :m]
-        rest = block
-        for d in range(k - 1):
-            rest, digits[:, d * n : (d + 1) * n] = np.divmod(rest, p)
-        digits[:, (k - 1) * n :] = rest
-        Y = np.matmul(W1, digits.reshape(m, k * n1, n2), out=Y.reshape(m, k * n1, n2))
-        # below 2**53 floor(Y / p) is the exact quotient, so Y becomes Y mod p
-        quot = tmp.reshape(Y.shape)
-        np.floor(np.divide(Y, p, out=quot), out=quot)
-        Y -= np.multiply(quot, p, out=quot)
-        Y, Z = Y.reshape(m, k, n1, n2), Z.reshape(m, n1, k, n2)
-        for e2 in range(k):
-            np.multiply(Y[:, 0], T[e2, :, 0], out=Z[:, :, e2])
-            for e in range(1, k):
-                Z[:, :, e2] += Y[:, e] * T[e2, :, e]
-        sums = np.matmul(Z.reshape(m * n1, k * n2), W2.T, out=digits.reshape(m * n1, k * n2))
-        sums /= p  # whole iff p | sums, since the sums are integers below 2**53
-        whole = sums == np.floor(sums, out=tmp.reshape(sums.shape))
-        # j = j1 + n1*j2: write (j1, j2) into a (j2, j1) view of the rows
-        natural = zero[start : start + m].reshape(m, n2, n1).transpose(0, 2, 1)
-        np.logical_and.reduce(whole.reshape(m, n1, k, n2), axis=2, out=natural)
+    natural = zero.reshape(m, n2, n1).transpose(0, 2, 1)
+    np.logical_and.reduce(whole.reshape(m, n1, k, n2), axis=2, out=natural)
     return zero
 
 
@@ -545,7 +523,10 @@ def _rhs(r: int, gamma: float) -> float:
 
 def _nonzero_rows(rng, take: int, q: int, n: int) -> np.ndarray:
     """take uniform element-label rows over F_q; all-zero rows are redrawn,
-    so these are the first take nonzero rows of rng's stream, out of order."""
+    so these are the first take nonzero rows of rng's stream, out of order.
+    numpy's int64 draws concatenate across calls, so consecutive calls give
+    the first nonzero rows of one stream however the takes are split: a
+    caller may block freely and its histograms do not change."""
     coefs = rng.integers(0, q, size=(take, n), dtype=np.int64)
     while True:
         dead = np.flatnonzero(~coefs.any(axis=1))
@@ -568,9 +549,10 @@ def _coset_counts(zero: np.ndarray, ells) -> np.ndarray:
 def _sampled_counts(field: FieldSpec, samples: int, seed: int, ells) -> Counter:
     """Histogram {count: occurrences} of the vanishing-coset counts over ells
     (`_coset_counts`; at l = 1 the count is R) for samples uniform nonzero
-    polynomials of degree < q-1 drawn from default_rng(seed), each draw
-    block evaluated at every unit by `_unit_zero_mask`.  Every check runs
-    before the first draw, and with no l to count nothing is drawn."""
+    polynomials of degree < q-1 from default_rng(seed).  One block of rows
+    at a time is drawn (`_nonzero_rows`), evaluated at every unit
+    (`_unit_zero_mask`) and counted.  Every check runs before the first
+    draw, and with no l to count nothing is drawn."""
     if not isinstance(samples, int) or isinstance(samples, bool) or samples < 1:
         raise InvalidSampleCount(f"samples must be a positive int, got {samples!r}")
     if not isinstance(seed, int) or isinstance(seed, bool) or seed < 0:
@@ -582,13 +564,14 @@ def _sampled_counts(field: FieldSpec, samples: int, seed: int, ells) -> Counter:
         return Counter({0: samples})
     transform = _unit_transform(field)
     rng = np.random.default_rng(seed)
-    hist: Counter = Counter()
-    for take in _blocks(samples, n * field.k):
-        zero = _unit_zero_mask(field, transform, _nonzero_rows(rng, take, q, n))
-        counts = _coset_counts(zero, ells)
-        for c, occurrences in zip(*np.unique(counts, return_counts=True)):
-            hist[int(c)] += int(occurrences)
-    return hist
+    counts = np.empty(samples, dtype=np.int64)
+    # at most 2**15 float64 entries per row block (one row when a row is
+    # longer), so the kernel's four working buffers stay in cache
+    block = max(1, _SUB_BLOCK // (field.k * n))
+    for start in range(0, samples, block):
+        rows = _nonzero_rows(rng, min(block, samples - start), q, n)
+        counts[start : start + block] = _coset_counts(_unit_zero_mask(field, transform, rows), ells)
+    return Counter({int(c): int(o) for c, o in zip(*np.unique(counts, return_counts=True))})
 
 
 class VanishingEstimate(NamedTuple):

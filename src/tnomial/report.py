@@ -137,10 +137,9 @@ def analyze(f: TNomial) -> dict:
         roots["bruteforce"] = None
         roots["bruteforce_note"] = "unit group too large for the direct scan"
     if q <= GCD_LIMIT and (F.k == 1 or q <= GCD_GENERIC_LIMIT):
+        # q <= GCD_LIMIT < BRUTE_FORCE_LIMIT, so the scan has run
         roots["gcd_degree"] = count_roots_gcd(f)
-        if r_value is None:
-            r_value = roots["gcd_degree"]
-        elif roots["gcd_degree"] != r_value:
+        if roots["gcd_degree"] != r_value:
             raise InternalInvariantError(
                 f"the scan counts {r_value} roots and the gcd oracle {roots['gcd_degree']}"
             )
@@ -211,15 +210,15 @@ def analyze(f: TNomial) -> dict:
             "bound_delta": cb.bound_delta,
             "bound_D": bd,
         }
-        verdicts: dict = {}
-        if r_value is not None:
-            N, t = q - 1, f.t
-            verdicts["R_le_bound_C"] = within_root_bound(r_value, N, t, max(c_value, 1))
-            verdicts["R_le_bound_D"] = within_root_bound(r_value, N, t, pr.D)
-            verdicts["R_le_bound_delta"] = (
+        # c_value and r_value both come from the mask
+        N, t = q - 1, f.t
+        report["verdicts"] = {
+            "R_le_bound_C": within_root_bound(r_value, N, t, max(c_value, 1)),
+            "R_le_bound_D": within_root_bound(r_value, N, t, pr.D),
+            "R_le_bound_delta": (
                 None if cb.bound_delta is None else within_root_bound(r_value, N, t, dec.delta)
-            )
-        report["verdicts"] = verdicts
+            ),
+        }
     else:
         report["bounds"] = None
         report["verdicts"] = {}

@@ -235,20 +235,33 @@ def _translation_max_R(p, t):
 
 def _translation_histograms(p, t):
     """{r: (count_all, count_c1)} over every translation representative,
-    with the reference coset mask on every column with two roots or more:
-    a coset of prime size holds at least two."""
+    with the drivers' own C > 1 columns: a check of the affine weights,
+    while `_assert_c_above_1_matches_reference` checks the columns."""
     field = make_prime_field(p)
     n = p - 1
     all_, c1 = Counter(), Counter()
     for exps, orbit in _orbit_reps(n, t):
-        R = _root_counts(field, exps)
+        col, valid = _root_incidences(field, exps)
+        R = np.bincount(col, minlength=len(valid))
         mask = np.zeros(len(R), dtype=bool)
-        cand = np.flatnonzero(R >= 2)
-        mask[cand] = _c_above_1(field, exps, _coeff_matrix(p, t)[:, cand])
+        mask[_c_above_1_columns(field, exps, R, col, valid)] = True
         for hist, vals in ((all_, R), (c1, R[~mask])):
             for r, c in zip(*np.unique(vals, return_counts=True)):
                 hist[int(r)] += int(c) * n * orbit
     return {r: (all_[r], c1[r]) for r in all_}
+
+
+def _assert_c_above_1_matches_reference(p, t):
+    """On every exponent set the drivers walk, `_c_above_1_columns` flags
+    exactly the columns that the reference coset mask flags among those
+    with two roots or more: a coset of prime size holds at least two."""
+    field = make_prime_field(p)
+    for exps, _ in _affine_reps(p - 1, t):
+        col, valid = _root_incidences(field, exps)
+        R = np.bincount(col, minlength=len(valid))
+        cand = np.flatnonzero(R >= 2)
+        expected = cand[_c_above_1(field, exps, _coeff_matrix(p, t)[:, cand])]
+        assert _c_above_1_columns(field, exps, R, col, valid).tolist() == expected.tolist(), exps
 
 
 def _primes(lo, hi):
@@ -263,6 +276,7 @@ def test_conjecture_table_matches_translation_reference():
         + [(p, 5) for p in _primes(7, 17)]
     )
     for p, t in pairs:
+        _assert_c_above_1_matches_reference(p, t)
         got = {rec.r: (rec.count_all, rec.count_c1) for rec in conjecture_table(p, t)}
         assert got == _translation_histograms(p, t), (p, t)
 
@@ -286,6 +300,8 @@ def test_drivers_run_no_kernel_for_t_up_to_3(monkeypatch):
 
     monkeypatch.setattr(experiments, "_coset_columns", counted)
     for p, t in [(p, 2) for p in _primes(3, 61)] + [(p, 3) for p in _primes(5, 31)]:
+        if t == 2:  # the t = 3 sets are checked with criterion 10's
+            _assert_c_above_1_matches_reference(p, t)
         got = {rec.r: (rec.count_all, rec.count_c1) for rec in conjecture_table(p, t)}
         res = compute_max_R(p, t)
         assert calls == [], (p, t)
@@ -726,16 +742,68 @@ def test_root_distribution_sample_frozen_shape():
     assert abs(mean - 6 / 7) < 0.25
 
 
+def _root_mask_rows(field, rows):
+    """Zero mask of dense label rows at every unit by the log-domain root
+    mask, one batch per pattern of nonzero coefficients."""
+    log = log_tables(field).log
+    zero = np.empty(rows.shape, dtype=bool)
+    support = rows > 0
+    for pattern in np.unique(support, axis=0):
+        same = (support == pattern).all(axis=1)
+        exps = np.flatnonzero(pattern)
+        zero[same] = root_mask(field, exps, log[rows[same][:, exps]])
+    return zero
+
+
 def test_root_distribution_sample_matches_root_mask():
-    # an independent count: the same draws (one block of rows at these
-    # sizes), evaluated by the log-domain root mask instead of a matmul
-    for p, samples, seed in [(7, 400, 3), (101, 500, 0), (257, 300, 2)]:
-        field = make_prime_field(p)
-        rows = _nonzero_rows(np.random.default_rng(seed), samples, p, p - 1)
-        log = log_tables(field).log
-        R = [int(root_mask(field, np.flatnonzero(row), log[row[row > 0]]).sum()) for row in rows]
+    # an independent count: the same rows, drawn by one `_nonzero_rows`
+    # call where the sampler makes one per block of rows, evaluated by the
+    # log-domain root mask instead of a matmul.  F_4 and F_3 span blocks of
+    # 10922 and 16384 rows, with all-zero rows (1.6% and 11%) redrawn in each
+    cases = [
+        (make_prime_field(7), 400, 3),
+        (make_prime_field(101), 500, 0),
+        (make_prime_field(257), 300, 2),  # three blocks of 128 rows or fewer
+        (make_extension_field(2, 2), 30000, 0),
+        (make_prime_field(3), 50000, 5),
+    ]
+    for field, samples, seed in cases:
+        rows = _nonzero_rows(np.random.default_rng(seed), samples, field.q, field.q - 1)
+        R = _root_mask_rows(field, rows).sum(axis=1)
         expected = {int(r): int(c) for r, c in zip(*np.unique(R, return_counts=True))}
-        assert root_distribution_sample(p, samples, seed=seed) == expected, p
+        assert _sampled_counts(field, samples, seed, (1,)) == expected, field.q
+        if field.k == 1:
+            assert root_distribution_sample(field.p, samples, seed=seed) == expected, field.q
+
+
+def test_sampled_counts_do_not_depend_on_the_block_size(monkeypatch):
+    # at _SUB_BLOCK = 100 the blocks hold 16 rows at F_7 and 6 at F_9,
+    # and neither divides 1001 samples
+    cases = [(make_prime_field(7), (1, 2, 3)), (make_extension_field(3, 2), (1, 2))]
+    expected = [_sampled_counts(F, 1001, 3, ells) for F, ells in cases]
+    takes = []
+
+    def spy(rng, take, q, n):
+        takes.append(take)
+        return _nonzero_rows(rng, take, q, n)
+
+    monkeypatch.setattr(experiments, "_SUB_BLOCK", 100)
+    monkeypatch.setattr(experiments, "_nonzero_rows", spy)
+    assert [_sampled_counts(F, 1001, 3, ells) for F, ells in cases] == expected
+    # blocks of 100 // (k*n) rows, the last one short
+    assert takes == [16] * 62 + [9] + [6] * 166 + [5]
+
+
+def test_sampler_memory_does_not_grow_with_the_samples():
+    # 2050 rows over F_4093 take 67 MB as one int64 draw; the blocks of
+    # 8 rows and the four working buffers take about 1 MiB
+    tracemalloc.start()
+    try:
+        sample_vanishing_proportion(make_prime_field(4093), 2050)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20
 
 
 def test_root_distribution_sample_validation():
