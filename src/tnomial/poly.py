@@ -575,20 +575,26 @@ def _packed_tables(F: FieldSpec) -> _PackedTables:
     exp table after a check through the oracle's own multiplication
     tensor: exp[0] = 1, exp[j + 1] = exp[j] * g for every j (with
     g**(q-1) = 1), and the powers cover every unit.  A failed check raises
-    InternalInvariantError."""
+    InternalInvariantError.  The digit rows are checked in blocks of
+    _TABLE_CHUNK rows, never as one (q-1) x k array."""
     p, k, n = F.p, F.k, F.q - 1
     width = 1 if p == 2 else (p - 1).bit_length() + 1
     base = p ** np.arange(k, dtype=np.int64)
+    place = np.int64(1) << width * np.arange(k, dtype=np.int64)
     exp = log_tables(F).exp
-    digits = exp[:, None] // base % p
-    by_g = digits @ (_mul_tensor(_fold_matrix(F)) @ _digits(F, F.g) % p) % p @ base
+    times_g = _mul_tensor(_fold_matrix(F)) @ _digits(F, F.g) % p
+    next_exp = np.roll(exp, -1)
+    powers_ok = exp[0] == 1
+    neg = np.zeros(3 * n, dtype=np.int64)
+    for s in range(0, n, _TABLE_CHUNK):
+        e = min(s + _TABLE_CHUNK, n)
+        digits = exp[s:e, None] // base % p
+        powers_ok &= np.array_equal(digits @ times_g % p @ base, next_exp[s:e])
+        neg[s:e] = -digits % p @ place
     log = np.full(F.q, 2 * n, dtype=np.intp)
     log[exp] = np.arange(n)
-    if exp[0] != 1 or not np.array_equal(by_g, np.roll(exp, -1)) or np.count_nonzero(log == 2 * n) != 1:
+    if not powers_ok or np.count_nonzero(log == 2 * n) != 1:
         raise InternalInvariantError(f"the powers of the generator of F_{F.q} fail the oracle's check")
-    place = np.int64(1) << width * np.arange(k, dtype=np.int64)
-    neg = np.zeros(3 * n, dtype=np.int64)
-    neg[:n] = -digits % p @ place
     neg[n : 2 * n] = neg[:n]
     low = -(-k // 2)
     slots = np.arange(1 << width * low, dtype=np.int64)[:, None] >> width * np.arange(low) & (1 << width) - 1

@@ -5,9 +5,10 @@ e * a_i lies within M of a multiple of N (in the mod-N distance), with
 0 < M <= N / n**(1/m) for m exponents.  Pigeonhole proof sketch: split
 [0, N)**m into ceil(n**(1/m))**m boxes of side <= N / n**(1/m); two of
 the n vectors (e * a_i mod N)_i for e = 0..n-1 share a box, and their
-difference gives the multiplier.  find_small_multiple recovers such an
-e by exhaustive scan, which also serves as a ground-truth check of the
-existence bound.
+difference gives the multiplier.  find_small_multiple finds the least
+such M, and the least e that attains it, without scanning the range: it
+walks only the e that bring one exponent within the bound of a multiple
+of N, and checks the bound on every result.
 
 degree_reduce applies this to the exponents of f (lowest normalized to
 0): with b_i = e * a_i + v_i the centered representative, |b_i| <= M,
@@ -23,6 +24,7 @@ k-to-1 on units and each root of f is hit by exactly k pairs (i, x).
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from math import gcd
 from typing import NamedTuple
@@ -69,11 +71,31 @@ def find_small_multiple(a, N: int, n: int) -> SmallMultiple:
     centered representative of e*a_i mod N in [-N/2, N/2] (ties at N/2
     take the positive side), and M = max |e*a_i + v_i| > 0.
 
-    Requires n >= 2 (EmptyRange otherwise) and n <= N / gcd(a, N)
-    (PreconditionViolated otherwise: beyond that every norm can be 0).
-    Guarantees M**m * n <= N**m for m = len(a).
+    Requires integer exponents, N and n (PreconditionViolated otherwise;
+    bools are not integers), n >= 2 (EmptyRange otherwise) and
+    n <= N / gcd(a, N) (PreconditionViolated otherwise: beyond that every
+    norm can be 0).  Guarantees M**m * n <= N**m for m = len(a).
+
+    The minimal M is at most M0, the largest M with M**m * n <= N**m, so
+    every minimizer has e * a_p within M0 of a multiple of N for any one
+    exponent a_p.  With g = gcd(a_p, N) those e are r * (a_p/g)**-1
+    mod N/g for |r| <= M0/g, lifted by multiples of N/g below n.  The
+    walk takes the a_p with the fewest such e, or all of [1, n) when no
+    a_p halves the range, and visits them by rising |r| in blocks of at
+    most _SCAN_CHUNK products e * a_i, so memory does not grow with their
+    number.  Each block drops the e whose distance on another exponent
+    exceeds the best norm so far, and the walk ends once g*|r| alone
+    exceeds it.
     """
+    a = tuple(a)
+    integral = (
+        type(x) is int or isinstance(x, numbers.Integral) and not isinstance(x, bool)
+        for x in (N, n, *a)
+    )
+    if not all(integral):
+        raise PreconditionViolated(f"exponents, N and n must be integers, got {a!r}, {N!r}, {n!r}")
     a = tuple(int(x) for x in a)
+    N, n = int(N), int(n)
     if not a:
         raise EmptyInput("empty exponent vector")
     if N < 1:
@@ -85,24 +107,67 @@ def find_small_multiple(a, N: int, n: int) -> SmallMultiple:
         raise PreconditionViolated(
             f"range bound {n} exceeds N/gcd(a, N) = {N // g}"
         )
+    if n * N >= 2**63:
+        raise PreconditionViolated(f"the walk's int64 products reach n * N = {n} * {N} >= 2**63")
     m = len(a)
-    a_mod = np.array([x % N for x in a], dtype=np.int64)
-    best_M = None
-    best_e = None
-    for start in range(1, n, _SCAN_CHUNK):
-        es = np.arange(start, min(start + _SCAN_CHUNK, n), dtype=np.int64)
-        norms = np.zeros(len(es), dtype=np.int64)
-        for ai in a_mod:
-            r = (es * int(ai)) % N
-            np.maximum(norms, np.minimum(r, N - r), out=norms)
-        norms[norms == 0] = np.iinfo(np.int64).max
-        i = int(np.argmin(norms))
-        if best_M is None or int(norms[i]) < best_M:
-            best_M = int(norms[i])
-            best_e = int(es[i])
-    if best_M is None or best_M == np.iinfo(np.int64).max:
+    bound = int(N / n ** (1 / m))
+    while (bound + 1) ** m * n <= N**m:
+        bound += 1
+    while bound**m * n > N**m:
+        bound -= 1
+    # e*x and e*(N - x) lie equally far from a multiple of N, and x = 0
+    # lies at distance 0: one residue of each pair is enough
+    residues = sorted({min(x % N, -x % N) for x in a} - {0})
+    # a pivot must at least halve the range to pay for its extra passes
+    pivot, count = None, n - 1
+    for x in residues:
+        d = gcd(x, N)
+        size = (2 * (bound // d) + 1) * -(-n // (N // d))
+        if 2 * size < count:
+            pivot, count = x, size
+    if pivot is not None:
+        g = gcd(pivot, N)
+        step = N // g
+        inv = pow(pivot // g, -1, step)
+        lifts = -(-n // step)
+    xs = np.array(residues, dtype=np.int64)
+    # a block makes at most _SCAN_CHUNK products e*x; blocks double from
+    # 2**12 so that the first survivors lower the cap early
+    chunk = max(1, _SCAN_CHUNK // len(residues))
+    best, start = None, 0
+    while start < count:
+        stop = min(count, start + min(chunk, max(start, 1 << 12)))
+        idx = np.arange(start, stop, dtype=np.int64)
+        start = stop
+        if pivot is None:
+            es = idx + 1
+        else:
+            # row k of the lifts holds r = 0, 1, -1, 2, -2, ...
+            k = idx // lifts
+            half = (k + 1) >> 1
+            es = np.where(k & 1, half, -half) * inv % step + (idx - k * lifts) * step
+            es = es[(es > 0) & (es < n)]
+        cap = bound if best is None else best[0]
+        # e*x lies within cap of a multiple of N iff (e*x + cap) mod N <= 2*cap;
+        # a pass that keeps more than half of the e is not worth its cost
+        for x in residues if 4 * cap < N else ():
+            if x != pivot:
+                es = es[(es * x + cap) % N <= 2 * cap]
+        rem = es[:, None] * xs % N
+        norms = np.minimum(rem, N - rem).max(axis=1)
+        keep = norms > 0
+        es, norms = es[keep], norms[keep]
+        if len(es):
+            M = int(norms.min())
+            cand = (M, int(es[norms == M].min()))
+            if best is None or cand < best:
+                best = cand
+                if pivot is not None:
+                    # a later row has g*|r| > M and cannot beat it
+                    count = min(count, (2 * (M // g) + 1) * lifts)
+    if best is None:
         raise InternalInvariantError("no nonzero-norm multiplier found")
-    e = best_e
+    best_M, e = best
     v = []
     for ai in a:
         r = (e * ai) % N

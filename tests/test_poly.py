@@ -497,6 +497,37 @@ def test_gcd_oracle_tables_are_linear_in_q(p, k):
     assert max(sizes) <= 3 * F.q
 
 
+def test_gcd_oracle_table_check_stays_below_one_digit_array():
+    # the exp table is checked in row blocks; one (q-1) x k int64 digit
+    # array at F_{2^16} takes 8 MiB
+    F = make_extension_field(2, 16)
+    log_tables(F)
+    poly._packed_tables.cache_clear()
+    tracemalloc.start()
+    try:
+        poly._packed_tables(F)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < (F.q - 1) * F.k * 8
+
+
+def test_gcd_oracle_table_check_reads_every_block(monkeypatch):
+    # one wrong exp entry past the first block still fails the check
+    F = make_extension_field(2, 16)
+    real = log_tables(F)
+    exp = real.exp.copy()
+    j = 3 * poly._TABLE_CHUNK + 5
+    exp[[j, j + 1]] = exp[[j + 1, j]]
+    monkeypatch.setattr(poly, "log_tables", lambda field: real._replace(exp=exp))
+    poly._packed_tables.cache_clear()
+    try:
+        with pytest.raises(InternalInvariantError):
+            poly._packed_tables(F)
+    finally:
+        poly._packed_tables.cache_clear()
+
+
 def test_count_roots_gcd_edge_cases():
     # monomial: no nonzero roots
     assert count_roots_gcd(build(F7, [(4, 3)])) == 0

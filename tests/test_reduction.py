@@ -1,8 +1,12 @@
 import math
 import random
+import time
+import tracemalloc
 
+import numpy as np
 import pytest
 
+from tnomial import reduction
 from tnomial.errors import (
     EmptyInput,
     EmptyRange,
@@ -86,6 +90,132 @@ def test_find_small_multiple_errors():
         find_small_multiple([4], 12, 4)  # N/gcd = 3 < 4
     with pytest.raises(ValueError):
         find_small_multiple([3], 0, 2)
+    with pytest.raises(PreconditionViolated):
+        find_small_multiple([2**61 + 1], 2**62 + 1, 5)  # 4 * (2**61 + 1) wraps in int64
+
+
+@pytest.mark.parametrize(
+    "a, N, n",
+    [
+        ([2.7], 7, 7),  # was read as a = 2
+        (["3"], 7, 7),  # was read as a = 3
+        ([3], 7.5, 7),  # escaped as a bare TypeError
+        ([3], 7, 7.0),
+        ([True], 7, 7),
+        ([3], True, 2),
+        ([3], 7, np.float64(7)),
+    ],
+)
+def test_find_small_multiple_rejects_non_integers(a, N, n):
+    with pytest.raises(PreconditionViolated):
+        find_small_multiple(a, N, n)
+
+
+def test_find_small_multiple_accepts_numpy_integers():
+    res = find_small_multiple(np.array([3], dtype=np.int32), np.int64(7), np.uint16(7))
+    assert tuple(res) == (2, (-7,), 1)
+    assert all(type(x) is int for x in (res.e, res.M, *res.v))
+
+
+def _scan_small_multiple(a, N, n):
+    """Reference: the least (M, e) over every e in [1, n), in blocks."""
+    a = tuple(int(x) for x in a)
+    a_mod = np.array([x % N for x in a], dtype=np.int64)
+    best = None
+    for start in range(1, n, 1 << 20):
+        es = np.arange(start, min(start + (1 << 20), n), dtype=np.int64)
+        norms = np.zeros(len(es), dtype=np.int64)
+        for ai in a_mod:
+            r = (es * int(ai)) % N
+            np.maximum(norms, np.minimum(r, N - r), out=norms)
+        norms[norms == 0] = np.iinfo(np.int64).max
+        i = int(np.argmin(norms))
+        if best is None or int(norms[i]) < best[0]:
+            best = (int(norms[i]), int(es[i]))
+    M, e = best
+    v = []
+    for ai in a:
+        r = (e * ai) % N
+        v.append((r if r <= N - r else r - N) - e * ai)
+    return e, tuple(v), M
+
+
+def _random_multiple_case(rng, N_lo, N_hi, n_hi=None):
+    """(a, N, n) with m <= 10 exponents, some zero, repeated or >= N, and
+    n either the whole range N / gcd(a, N) or a random part of it."""
+    while True:
+        N = round(math.exp(rng.uniform(math.log(N_lo), math.log(N_hi))))
+        a = []
+        for _ in range(rng.randint(1, 10)):
+            kind = rng.random()
+            if kind < 0.1:
+                a.append(0)
+            elif kind < 0.2 and a:
+                a.append(rng.choice(a))
+            elif kind < 0.3:
+                a.append(rng.randrange(N) + N * rng.randint(1, 3))
+            else:
+                a.append(rng.randrange(N))
+        cap = N // math.gcd(*a, N)
+        if n_hi is not None:
+            cap = min(cap, n_hi)
+        if cap >= 2:
+            return a, N, cap if rng.random() < 0.5 else rng.randint(2, cap)
+
+
+def test_find_small_multiple_matches_reference_scan():
+    rng = random.Random(20)
+    cases = [_random_multiple_case(rng, 2, 70000) for _ in range(10**4)]
+    cases += [_random_multiple_case(rng, 70000, 4194300) for _ in range(30)]
+    cases += [_random_multiple_case(rng, 2**31 - 2**12, 2**31 - 1, n_hi=2**20) for _ in range(30)]
+    for a in ([1, 5, 25], [4194299], [2, 2, 0, 4194300 + 7]):
+        cases.append((a, 4194300, 4194300 // math.gcd(*a, 4194300)))
+    for a, N, n in cases:
+        assert tuple(find_small_multiple(a, N, n)) == _scan_small_multiple(a, N, n), (a, N, n)
+
+
+def test_find_small_multiple_matches_reference_scan_across_blocks(monkeypatch):
+    # blocks of one to three candidates: ties and the stop rule then meet
+    # block edges
+    monkeypatch.setattr(reduction, "_SCAN_CHUNK", 3)
+    rng = random.Random(21)
+    for _ in range(2000):
+        a, N, n = _random_multiple_case(rng, 2, 300)
+        assert tuple(find_small_multiple(a, N, n)) == _scan_small_multiple(a, N, n), (a, N, n)
+
+
+def _multiplier_case(m):
+    """Exponents at N = 2**31 - 2 for t = m + 1 terms, with the whole range."""
+    N = 2**31 - 2
+    rng = random.Random(31 + m)
+    a = [rng.randrange(1, N) for _ in range(m)]
+    return a, N, N // math.gcd(*a, N)
+
+
+def test_find_small_multiple_at_2_31_trinomial_is_fast():
+    a, N, n = _multiplier_case(2)
+    times = []
+    for _ in range(3):
+        start = time.perf_counter()
+        e, v, M = find_small_multiple(a, N, n)
+        times.append(time.perf_counter() - start)
+    assert min(times) < 0.1
+    assert M * M * n <= N * N and M == modular_norm([e * x for x in a], N)
+
+
+def test_find_small_multiple_memory_is_bounded_by_the_block(monkeypatch):
+    # at m = 3 the walk visits about 2 * N**(2/3) = 3.3e6 candidates, 26 MB
+    # as one int64 array; blocks of 2**15 keep the peak near 2**15 entries
+    a, N, n = _multiplier_case(3)
+    monkeypatch.setattr(reduction, "_SCAN_CHUNK", 1 << 15)
+    tracemalloc.start()
+    try:
+        e, v, M = find_small_multiple(a, N, n)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 8 * (1 << 15)
+    assert M**3 * n <= N**3 and M == modular_norm([e * x for x in a], N)
 
 
 def test_degree_reduce_binomial():
