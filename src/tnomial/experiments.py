@@ -37,8 +37,9 @@ of F_q by a two-stage Fourier transform over F_q (`_unit_zero_mask`) and
 read the counts off its zero mask.
 
 The incidence kernel exploits the scalar normalization: with c_1 = 1 and
-exponents fixed, walking all (x, c_2, ..., c_{t-1}) and solving for the
-unique c_t that makes x a root visits every (polynomial, root) incidence
+exponents fixed, it walks a grid with one row per prefix (c_2, ..., c_{t-1})
+and one column per unit x, and solves at each point for the unique c_t
+that makes x a root.  That visits every (polynomial, root) incidence
 exactly once, at cost (p-1)**(t-1) instead of (p-1)**t.
 """
 
@@ -46,7 +47,6 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from functools import lru_cache
 from itertools import combinations, product
 from math import comb, exp, factorial, gcd, isfinite, lgamma
 from typing import Iterator, NamedTuple
@@ -147,63 +147,56 @@ def count_orbit_reps(n: int, t: int) -> int:
 # -- vectorized per-exponent-set kernels -------------------------------------
 
 
-@lru_cache(maxsize=4)
-def _coeff_matrix(p: int, t: int) -> np.ndarray:
-    """Columns = scalar-normalized coefficient tuples (1, c_2, ..., c_t),
-    c_i in [1, p), with c_t varying fastest.  Shape (t, (p-1)**(t-1)),
-    read-only: the cache hands the same array to every caller."""
-    n = p - 1
-    m = n ** (t - 1)
-    C = np.empty((t, m), dtype=np.int64)
-    C[0] = 1
-    cols = np.arange(m, dtype=np.int64)
-    for i in range(t - 1, 0, -1):
-        C[i] = cols % n + 1
-        cols //= n
-    C.setflags(write=False)
-    return C
-
-
 def _poly_from_column(field: FieldSpec, exps: tuple, col: int) -> TNomial:
-    return build(field, zip(exps, _coeff_matrix(field.p, len(exps))[:, col].tolist()))
+    """The polynomial of column col of exps: the coefficients (1, c_2, ...,
+    c_t), c_i in [1, p), in `itertools.product` order (c_t fastest)."""
+    n = field.p - 1
+    coeffs = []
+    for _ in exps[1:]:
+        col, d = divmod(col, n)
+        coeffs.append(d + 1)
+    return build(field, zip(exps, [1] + coeffs[::-1]))
 
 
 def _root_incidences(field: FieldSpec, exps: tuple) -> tuple:
     """Every (polynomial, root) incidence over the given exponent set, as
     arrays (col, valid): col holds the scalar-normalized coefficient column
-    of each incidence, in the order of the grid points F that valid flags,
-    and the root is g**j with j = F mod p-1.  R is np.bincount(col), and
-    each (column, j) pair occurs at most once.
+    (`_poly_from_column`) of each incidence, in the order of the grid
+    points F that valid flags, and the root is g**j with j = F mod p-1.
+    R is np.bincount(col), and each (column, j) pair occurs at most once.
 
-    For each unit x = g**j and each prefix (c_2, ..., c_{t-1}) there is
-    exactly one c_t with f(x) = 0, namely -(1 + sum c_i x**a_i) / x**a_t,
-    admissible when nonzero.  Grid point F is column F of `_coeff_matrix`:
-    its rows 1 .. t-2 hold the prefix and its last row j + 1, so the
-    incidence lands in column F - j + c_t - 1.
+    The grid has a row r per prefix (c_2, ..., c_{t-1}), in column order,
+    and a column j per unit x = g**j; F = r*(p-1) + j.  At each point
+    exactly one c_t gives f(x) = 0, namely sum_{i<t} c_i * -x**(a_i - a_t)
+    with c_1 = 1, admissible when nonzero, and the incidence lands in
+    column r*(p-1) + c_t - 1.  The powers of x are
+    built once and broadcast over the rows, whose digits are decoded once
+    per row, and whole rows of about _CHUNK points go through at a time.
     """
     p = field.p
     n = p - 1
     t = len(exps)
     if t == 1:
         return np.zeros(0, dtype=np.int64), np.zeros(1, dtype=bool)
-    grid = _coeff_matrix(p, t)
-    m = grid.shape[1]  # the (x, prefix) grid has the size of the column space
     pw = log_tables(field).exp
-    j_idx = np.arange(n, dtype=np.int64)
-    xa = [pw[(a * j_idx) % n] for a in exps[1:-1]]
-    inv_xat = pw[(-exps[-1] * j_idx) % n]
+    j = np.arange(n, dtype=np.int64)
+    # -x**(a_i - a_t) for i = 1 .. t-1, as int64 in [1, p)
+    minus = [p - pw[(a - exps[-1]) * j % n].astype(np.int64) for a in exps[:-1]]
+    rows = n ** (t - 2)
+    step = max(1, _CHUNK // n)
     cols, valids = [], []
-    for start in range(0, m, _CHUNK):
-        block = grid[:, start : start + _CHUNK]
-        j = block[-1] - 1
-        s = np.ones(block.shape[1], dtype=np.int64)
-        for c, x in zip(block[1:-1], xa):
-            s = (s + c * x[j]) % p
-        ct = (p - s) % p * inv_xat[j] % p
+    for start in range(0, rows, step):
+        r = np.arange(start, min(start + step, rows), dtype=np.int64)
+        ct = np.repeat(minus[0][None], len(r), axis=0)
+        rest = r
+        for m in reversed(minus[1:]):  # c_{t-1} is the lowest digit of r
+            rest, d = np.divmod(rest, n)
+            ct += (d + 1)[:, None] * m
+            ct %= p
         valid = ct != 0
-        col = np.arange(start, start + len(j), dtype=np.int64) - j + ct - 1
-        cols.append(col[valid])
-        valids.append(valid)
+        ct += (r * n - 1)[:, None]
+        cols.append(ct[valid])
+        valids.append(valid.ravel())
     return np.concatenate(cols), np.concatenate(valids)
 
 
@@ -236,10 +229,11 @@ def _coset_columns(col, valid, kept: np.ndarray, w: int, ell: int) -> np.ndarray
     """The kept columns that vanish on a coset {x : x**ell = beta} of ell
     units, n = ell*w: g**j lies on the coset of g**v, v < w, iff j = v mod w,
     and as each (column, j) pair occurs once, the coset is all roots iff ell
-    incidences of the column share its class.  The class of grid point F
-    is F mod w, since w | n.  Each kept column owns a block of w keys, one
-    per class, and every other column the spare block after them, so one
-    bincount counts every (column, class) pair."""
+    incidences of the column share its class.  The class of grid point
+    F = r*n + j of `_root_incidences` is F mod w, since w | n.  Each kept
+    column owns a block of w keys, one per class, and every other column
+    the spare block after them, so one bincount counts every (column,
+    class) pair."""
     cols = np.flatnonzero(kept)
     size = len(cols) * w
     block = np.full(len(kept), size)
@@ -405,6 +399,7 @@ def compute_max_R(p: int, t: int, budget: int = DEFAULT_WORK_BUDGET) -> MaxRResu
     """
     field = make_prime_field(p)
     _check_budget(p, t, budget)
+    log_tables(field)  # FieldTooLarge above the scan ceiling, before any orbit is walked
     n = p - 1
     best = -1
     best_at = None
@@ -468,6 +463,8 @@ def conjecture_table(
         raise PreconditionViolated(f"gamma must be finite, got {gamma!r}")
     field = make_prime_field(p)
     _check_budget(p, t, budget)
+    if t > 1:  # at t = 1 no kernel reads a table
+        log_tables(field)  # FieldTooLarge above the scan ceiling, before any orbit is walked
     n = p - 1
     # Python ints: the weighted totals pass 2**63 from about p = 70000
     counts_all: Counter = Counter()

@@ -29,7 +29,6 @@ from tnomial.experiments import (
     root_distribution_sample,
     sample_vanishing_proportion,
     _c_above_1_columns,
-    _coeff_matrix,
     _coset_counts,
     _affine_reps,
     _nonzero_rows,
@@ -200,6 +199,12 @@ def _root_counts(field, exps):
     return np.bincount(col, minlength=len(valid))
 
 
+def _labels(p, t):
+    """The scalar-normalized coefficient columns (1, c_2, ..., c_t) of F_p
+    in `itertools.product` order, as a (t, (p-1)**(t-1)) label array."""
+    return np.array([(1,) + c for c in product(range(1, p), repeat=t - 1)]).T
+
+
 def _c_above_1(field, exps, labels):
     """C > 1 per coefficient column, read off the log-domain root mask of
     every column given, in batches, and the samplers' coset counts over
@@ -220,13 +225,14 @@ def _translation_max_R(p, t):
     ran before the affine reduction."""
     field = make_prime_field(p)
     n = p - 1
+    labels = _labels(p, t)
     best, best_at = -1, None
     for exps, _ in _orbit_reps(n, t):
         R = _root_counts(field, exps)
         if int(R.max()) <= best:
             continue
         cand = np.flatnonzero(R > best)
-        cand = cand[~_c_above_1(field, exps, _coeff_matrix(p, t)[:, cand])]
+        cand = cand[~_c_above_1(field, exps, labels[:, cand])]
         if len(cand):
             col = int(cand[np.argmax(R[cand])])
             best, best_at = int(R[col]), (exps, col)
@@ -256,11 +262,12 @@ def _assert_c_above_1_matches_reference(p, t):
     exactly the columns that the reference coset mask flags among those
     with two roots or more: a coset of prime size holds at least two."""
     field = make_prime_field(p)
+    labels = _labels(p, t)
     for exps, _ in _affine_reps(p - 1, t):
         col, valid = _root_incidences(field, exps)
         R = np.bincount(col, minlength=len(valid))
         cand = np.flatnonzero(R >= 2)
-        expected = cand[_c_above_1(field, exps, _coeff_matrix(p, t)[:, cand])]
+        expected = cand[_c_above_1(field, exps, labels[:, cand])]
         assert _c_above_1_columns(field, exps, R, col, valid).tolist() == expected.tolist(), exps
 
 
@@ -312,23 +319,41 @@ def test_drivers_run_no_kernel_for_t_up_to_3(monkeypatch):
 
 
 def test_drivers_agree_across_chunk_boundaries(monkeypatch):
-    # 12**3 and 6**4 columns are no multiple of 5: the incidences of every
-    # chunk, the short last one included, are joined before any count
+    # chunks of 60 grid points are 5 rows of 12 units at (13, 4) and 10 rows
+    # of 6 at (7, 5), and neither divides the 144 and 216 rows: the
+    # incidences of every chunk, the short last one included, are joined
+    # before any count
     cases = [(13, 4), (7, 5)]
     expected = [(conjecture_table(p, t), compute_max_R(p, t)) for p, t in cases]
-    monkeypatch.setattr(experiments, "_CHUNK", 5)
+    monkeypatch.setattr(experiments, "_CHUNK", 60)
     assert [(conjecture_table(p, t), compute_max_R(p, t)) for p, t in cases] == expected
 
 
 # -- counting kernels against the object-level oracle -------------------------
 
 
-def test_coeff_matrix_column_order_and_read_only():
-    for p, t in [(5, 1), (5, 3), (7, 2), (3, 4)]:
-        expected = [(1,) + c for c in product(range(1, p), repeat=t - 1)]
-        assert [tuple(col) for col in _coeff_matrix(p, t).T.tolist()] == expected
-    with pytest.raises(ValueError):
-        _coeff_matrix(5, 3)[1, 0] = 2
+def test_poly_from_column_follows_product_order():
+    for p, exps in [(5, (0,)), (5, (0, 1, 3)), (7, (0, 2)), (5, (0, 1, 2, 3))]:
+        field = make_prime_field(p)
+        expected = [
+            build(field, zip(exps, (1,) + c)) for c in product(range(1, p), repeat=len(exps) - 1)
+        ]
+        assert [_poly_from_column(field, exps, c) for c in range(len(expected))] == expected
+
+
+def test_root_incidences_memory_is_bounded_by_the_chunk():
+    # (p-1)**2 = 1016064 grid points: the outputs take 8.7 MB, and a
+    # materialized (3, (p-1)**2) coefficient matrix alone would take 24 MB
+    field = make_prime_field(1009)
+    log_tables(field)
+    tracemalloc.start()
+    try:
+        col, valid = _root_incidences(field, (0, 1, 2))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(valid) == 1008**2
+    assert peak < col.nbytes + valid.nbytes + 3 * 8 * experiments._CHUNK
 
 
 def test_kernel_root_counts_match_bruteforce():
@@ -338,11 +363,12 @@ def test_kernel_root_counts_match_bruteforce():
     col, valid = _root_incidences(field, exps)
     j = np.flatnonzero(valid) % 6
     log = log_tables(field).log
+    labels = _labels(7, 3)
     for c in range(36):
         f = _poly_from_column(field, exps, c)
         assert int(R[c]) == count_roots_bruteforce(f)
         # the incidences name the roots themselves, each once
-        mask = root_mask(field, exps, log[_coeff_matrix(7, 3)[:, c]])
+        mask = root_mask(field, exps, log[labels[:, c]])
         assert j[col == c].tolist() == np.flatnonzero(mask).tolist()
 
 
@@ -371,7 +397,7 @@ def test_coset_mask_matches_compute_C():
     # delta = 1 and the drivers' coset step decides each column
     field = make_prime_field(7)
     for exps in [(0, 2, 4), (0, 1, 2, 3)]:
-        labels = _coeff_matrix(7, len(exps))
+        labels = _labels(7, len(exps))
         mask = _c_above_1(field, exps, labels)
         col, valid = _root_incidences(field, exps)
         R = np.bincount(col, minlength=labels.shape[1])
@@ -602,6 +628,31 @@ def test_work_estimate_and_budget():
         compute_max_R(7, 3, budget=100)
     # exactly at the estimate is allowed
     assert len(conjecture_table(7, 3, budget=432)) == 4
+
+
+def test_drivers_refuse_fields_above_the_scan_ceiling_before_any_orbit(monkeypatch):
+    # p - 1 > 2**22: the kernels' log tables cannot be built, and walking
+    # the orbits first took seconds (t = 1) to minutes (t = 2)
+    p = 15485863
+
+    def no_walk(n, t):
+        raise AssertionError("walked the orbits")
+
+    monkeypatch.setattr(experiments, "_affine_reps", no_walk)
+    for t in (1, 2, 3):
+        with pytest.raises(FieldTooLarge):
+            compute_max_R(p, t, budget=10**30)
+    for t in (2, 3):
+        with pytest.raises(FieldTooLarge):
+            conjecture_table(p, t, budget=10**30)
+        # the budget is still checked first
+        with pytest.raises(BudgetExceeded):
+            conjecture_table(p, t, budget=1)
+    with pytest.raises(BudgetExceeded):
+        compute_max_R(p, 1, budget=0)
+    # at t = 1 the table needs no log table, so its walk starts
+    with pytest.raises(AssertionError, match="walked the orbits"):
+        conjecture_table(p, 1)
 
 
 def test_invalid_t_rejected():

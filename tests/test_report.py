@@ -126,6 +126,17 @@ def test_analyze_binomial_full_report():
     }
 
 
+def test_analyze_prints_the_raw_and_the_normalized_delta(capsys):
+    # params.delta is gcd(3, 5, 6) = 1 over the exponents as written; the
+    # decomposition and bound_delta use the delta of 1 + x^2, which is 2
+    assert cli.main(["analyze", "--p", "7", "x^3 + x^5"]) == 0
+    rep = json.loads(capsys.readouterr().out)
+    assert rep["params"]["delta"] == 1
+    assert rep["decomposition"]["delta"] == 2
+    # 2 * 6**0 * delta at t = 2: delta = 1 would give bound_C's 2
+    assert (rep["bounds"]["bound_C"], rep["bounds"]["bound_delta"]) == (2, 4)
+
+
 def test_analyze_monomial_degrades_to_notes():
     rep = analyze(parse_tnomial(F7, "x^4"))
     assert rep["params"] is None
