@@ -36,11 +36,17 @@ residue class.  The samplers evaluate each dense polynomial at every unit
 of F_q by a two-stage Fourier transform over F_q (`_unit_zero_mask`) and
 read the counts off its zero mask.
 
-The incidence kernel exploits the scalar normalization: with c_1 = 1 and
-exponents fixed, it walks a grid with one row per prefix (c_2, ..., c_{t-1})
-and one column per unit x, and solves at each point for the unique c_t
-that makes x a root.  That visits every (polynomial, root) incidence
-exactly once, at cost (p-1)**(t-1) instead of (p-1)**t.
+The incidence kernel exploits two symmetries of the coefficients.  With
+c_1 = 1 and exponents fixed, it walks a grid with one row per prefix
+(c_2, ..., c_{t-1}) and one column per unit x, and solves at each point
+for the unique c_t that makes x a root, so it visits every (polynomial,
+root) incidence exactly once.  The dilation x -> lambda*x maps column
+(1, c_2, ..., c_t) to (1, c_i * lambda**a_i) and keeps R and C, and every
+dilation orbit meets the slice where one coefficient c_i is one of the
+d = gcd(a_i, p-1) labels g**0, ..., g**(d-1) in the same share.  So for
+t >= 3 the grid keeps only the rows of that slice, with a_i the nonzero
+exponent of least d, and each of its columns stands for (p-1)/d columns:
+cost d * (p-1)**(t-2) instead of (p-1)**t.
 """
 
 from __future__ import annotations
@@ -48,7 +54,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from itertools import combinations, product
-from math import comb, exp, factorial, gcd, isfinite, lgamma
+from math import comb, exp, factorial, gcd, isfinite, lgamma, prod
 from typing import Iterator, NamedTuple
 
 import numpy as np
@@ -106,27 +112,41 @@ def _affine_reps(n: int, t: int) -> list:
     """One exponent set per orbit of a -> u*a + s mod n, gcd(u, n) = 1,
     with the orbit size as weight.
 
-    The sets containing 0 are walked once in lexicographic order; an
-    orbit's members among them are sorted(u*(x - a) mod n for x in A) for
-    units u and a in A.  Its first member, the representative, is minimal
-    among its translates, so it leads the orbit in `_orbit_reps` order.
-    Each point lies in as many orbit sets as 0, so the orbit has
-    |members| * n / t sets.
+    The sets (0, y_1 < ... < y_k), k = t-1, are the entries of a bitmap in
+    lexicographic order, walked by argmax for the first unseen one.  Set
+    y has rank C(n-1, k) - 1 - sum_i C(n-1-y_i, k+1-i), the colexicographic
+    rank of the complements n-1-y_i, so a rank is a sum of k lookups and
+    is inverted by k binary searches.  An orbit's members among the sets,
+    the rows sorted(u*(x - a) mod n for x in A) of one (units x t) product
+    per base point a in A, are marked seen.  The first member, the
+    representative, is minimal among its translates, so it leads the orbit
+    in `_orbit_reps` order.  The maps taking A to a member form a coset of
+    A's stabilizer, so each member fills as many of the |units| * t rows
+    as A does, and each point lies in as many orbit sets as 0: the orbit
+    has |units| * n / (rows equal to A) sets.  At t = 1 the one set {0} is
+    the orbit of n monomials.
     """
-    seen: set = set()
+    if t == 1:
+        return [((0,), n)]
+    k = t - 1
+    units = np.array([u for u in range(n) if gcd(u, n) == 1])
+    binom = np.array([[comb(e, j) for e in range(n - 1)] for j in range(k + 1)], dtype=np.int64)
+    last = comb(n - 1, k) - 1
+    unseen = np.ones(last + 1, dtype=bool)
     reps = []
-    for rest in combinations(range(1, n) if t > 1 else (), t - 1):  # no pool at t = 1
-        A = (0,) + rest
-        if A in seen:
-            continue
-        members = {
-            tuple(sorted(u * (x - a) % n for x in A))
-            for u in range(n)
-            if gcd(u, n) == 1  # u = 0 when n == 1
-            for a in A
-        }
-        seen |= members
-        reps.append((A, len(members) * n // t))
+    code = 0
+    while unseen[code]:
+        rest, A = last - code, [0]
+        for j in range(k, 0, -1):
+            e = int(np.searchsorted(binom[j], rest, side="right")) - 1
+            rest -= int(binom[j, e])
+            A.append(n - 1 - e)
+        A = np.array(A)
+        rows = np.sort(units[:, None, None] * ((A - A[:, None]) % n) % n, axis=2)
+        members = last - sum(binom[k - i][n - 1 - rows[..., i + 1]] for i in range(k))
+        unseen[members] = False
+        reps.append((tuple(A.tolist()), len(units) * n // int(np.count_nonzero(members == code))))
+        code += int(np.argmax(unseen[code:]))
     if sum(w for _, w in reps) != comb(n, t):
         raise InternalInvariantError(
             f"affine orbit weights for n={n}, t={t} do not sum to comb(n, t)"
@@ -158,46 +178,66 @@ def _poly_from_column(field: FieldSpec, exps: tuple, col: int) -> TNomial:
     return build(field, zip(exps, [1] + coeffs[::-1]))
 
 
-def _root_incidences(field: FieldSpec, exps: tuple) -> tuple:
-    """Every (polynomial, root) incidence over the given exponent set, as
-    arrays (col, valid): col holds the scalar-normalized coefficient column
-    (`_poly_from_column`) of each incidence, in the order of the grid
-    points F that valid flags, and the root is g**j with j = F mod p-1.
-    R is np.bincount(col), and each (column, j) pair occurs at most once.
+class Incidences(NamedTuple):
+    """The (polynomial, root) incidences of one exponent set on the grid
+    of `_root_incidences`."""
 
-    The grid has a row r per prefix (c_2, ..., c_{t-1}), in column order,
-    and a column j per unit x = g**j; F = r*(p-1) + j.  At each point
-    exactly one c_t gives f(x) = 0, namely sum_{i<t} c_i * -x**(a_i - a_t)
-    with c_1 = 1, admissible when nonzero, and the incidence lands in
-    column r*(p-1) + c_t - 1.  The powers of x are
-    built once and broadcast over the rows, whose digits are decoded once
-    per row, and whole rows of about _CHUNK points go through at a time.
+    col: np.ndarray
+    valid: np.ndarray
+    exps: tuple  # the exponent set in the grid's coefficient order
+    weight: int  # columns of F(p, t) that each grid column stands for: (p-1)/d
+
+
+def _root_incidences(field: FieldSpec, exps: tuple) -> Incidences:
+    """Every (polynomial, root) incidence over the dilation slice of the
+    exponent set exps (0 first), as arrays (col, valid): col holds the
+    grid column of each incidence, in the order of the grid points F that
+    valid flags, and the root is g**j with j = F mod p-1.  R is
+    np.bincount(col), and each (column, j) pair occurs at most once.
+
+    For t >= 3 the grid reorders exps so that a_2 is the nonzero exponent
+    of least d = gcd(a_2, p-1), and has a row r per prefix (c_2, ..., c_{t-1})
+    with c_2 one of the labels g**0, ..., g**(d-1), in digit order (c_2
+    slowest), and a column j per unit x = g**j; F = r*(p-1) + j.  Every
+    dilation orbit of the columns (1, c_2, ..., c_t) meets that slice in
+    the same share, so each grid column stands for weight = (p-1)/d of
+    them; at t = 2 the grid is every column.  At each point exactly one
+    c_t gives f(x) = 0, namely sum_{i<t} c_i * -x**(a_i - a_t) with
+    c_1 = 1, admissible when nonzero, and the incidence lands in column
+    r*(p-1) + c_t - 1.  The powers of x are built once and broadcast over
+    the rows, whose digits are decoded once per row, and whole rows of
+    about _CHUNK points go through at a time.
     """
     p = field.p
     n = p - 1
     t = len(exps)
     if t == 1:
-        return np.zeros(0, dtype=np.int64), np.zeros(1, dtype=bool)
+        return Incidences(np.zeros(0, dtype=np.int64), np.zeros(1, dtype=bool), exps, 1)
     pw = log_tables(field).exp
+    digits = []  # the values of the prefix digits c_2, ..., c_{t-1}
+    if t > 2:
+        pivot = min(exps[1:], key=lambda a: gcd(a, n))
+        exps = exps[:1] + (pivot,) + tuple(a for a in exps[1:] if a != pivot)
+        digits = [pw[: gcd(pivot, n)].astype(np.int64)] + [np.arange(1, p)] * (t - 3)
     j = np.arange(n, dtype=np.int64)
     # -x**(a_i - a_t) for i = 1 .. t-1, as int64 in [1, p)
     minus = [p - pw[(a - exps[-1]) * j % n].astype(np.int64) for a in exps[:-1]]
-    rows = n ** (t - 2)
+    rows = prod(len(v) for v in digits)
     step = max(1, _CHUNK // n)
     cols, valids = [], []
     for start in range(0, rows, step):
         r = np.arange(start, min(start + step, rows), dtype=np.int64)
         ct = np.repeat(minus[0][None], len(r), axis=0)
         rest = r
-        for m in reversed(minus[1:]):  # c_{t-1} is the lowest digit of r
-            rest, d = np.divmod(rest, n)
-            ct += (d + 1)[:, None] * m
+        for m, v in zip(reversed(minus[1:]), reversed(digits)):  # c_{t-1} is the lowest digit of r
+            rest, d = np.divmod(rest, len(v))
+            ct += v[d][:, None] * m
             ct %= p
         valid = ct != 0
         ct += (r * n - 1)[:, None]
         cols.append(ct[valid])
         valids.append(valid.ravel())
-    return np.concatenate(cols), np.concatenate(valids)
+    return Incidences(np.concatenate(cols), np.concatenate(valids), exps, n ** (t - 2) // rows)
 
 
 def _pairing_primes(exps, n: int) -> list:
@@ -209,8 +249,8 @@ def _pairing_primes(exps, n: int) -> list:
 def _c_above_1_columns(
     field: FieldSpec, exps: tuple, R: np.ndarray, col: np.ndarray, valid: np.ndarray, least: int = 0
 ) -> np.ndarray:
-    """Indices of the coefficient columns of exps (0 in exps) with R >= least
-    and C > 1, given the incidences (col, valid) of `_root_incidences` and
+    """Indices of the grid columns of exps (0 in exps) with R >= least and
+    C > 1, given the incidences (col, valid) of `_root_incidences` and
     R = np.bincount(col).  With delta = gcd(exps, p-1) > 1, f is a
     polynomial in x**delta, so C > 1 exactly when R > 0.  Otherwise the
     cosets of the `_pairing_primes` sizes l decide, each over the columns
@@ -230,10 +270,10 @@ def _coset_columns(col, valid, kept: np.ndarray, w: int, ell: int) -> np.ndarray
     units, n = ell*w: g**j lies on the coset of g**v, v < w, iff j = v mod w,
     and as each (column, j) pair occurs once, the coset is all roots iff ell
     incidences of the column share its class.  The class of grid point
-    F = r*n + j of `_root_incidences` is F mod w, since w | n.  Each kept
-    column owns a block of w keys, one per class, and every other column
-    the spare block after them, so one bincount counts every (column,
-    class) pair."""
+    F = r*n + j of `_root_incidences` is F mod w, since w | n, whichever
+    rows the dilation slice keeps.  Each kept column owns a block of w
+    keys, one per class, and every other column the spare block after
+    them, so one bincount counts every (column, class) pair."""
     cols = np.flatnonzero(kept)
     size = len(cols) * w
     block = np.full(len(kept), size)
@@ -330,11 +370,12 @@ def _unit_zero_mask(field: FieldSpec, transform: tuple, rows: np.ndarray) -> np.
 
 def estimate_enumeration_work(p: int, t: int) -> int:
     """Rough multiplication count for one weighted enumeration of (p, t):
-    translation-orbit representatives times kernel grid times terms.
+    translation-orbit representatives times the full kernel grid times
+    terms.
 
     The drivers run one kernel per affine orbit, of which there are at
-    most as many as translation orbits, so budgets are checked against
-    this upper bound."""
+    most as many as translation orbits, on a dilation slice of d/(p-1) of
+    that grid, so budgets are checked against this upper bound."""
     _validate_t(p, t)
     n = p - 1
     return count_orbit_reps(n, t) * n ** (t - 1) * t
@@ -387,15 +428,16 @@ def compute_max_R(p: int, t: int, budget: int = DEFAULT_WORK_BUDGET) -> MaxRResu
     """Maximum R(f) over the C(f) <= 1 subfamily of F(p, t), with a
     deterministic witness polynomial attaining it.
 
-    One exponent set per affine orbit is scanned.  Sets whose kernel
-    maximum cannot beat the running best are skipped; for the rest the
-    same incidences filter out C > 1 columns.  Whether a set has
-    a C <= 1 column with R = V is an orbit property, and each orbit's
-    representative is its first member in translation order, so the
-    first representative to reach the record is the first translation
-    representative to reach it: the witness is the one a walk over all
-    translation orbits returns.  It is re-checked with the object-level
-    C computation.
+    One exponent set per affine orbit is scanned, on its dilation slice.
+    Sets whose slice maximum cannot beat the running best are skipped; for
+    the rest the same incidences filter out C > 1 columns.  Whether a set
+    has a C <= 1 column with R = V is an orbit property, and each orbit's
+    representative is its first member in translation order, so the first
+    representative to reach the record is the first translation
+    representative to reach it.  The witness is that set's least column
+    with the record among the dilation images of its record slice columns
+    (`_least_image`): the one a walk over all translation orbits and all
+    columns returns.  It is re-checked with the object-level C computation.
     """
     field = make_prime_field(p)
     _check_budget(p, t, budget)
@@ -404,23 +446,54 @@ def compute_max_R(p: int, t: int, budget: int = DEFAULT_WORK_BUDGET) -> MaxRResu
     best = -1
     best_at = None
     for exps, _weight in _affine_reps(n, t):
-        col, valid = _root_incidences(field, exps)
-        R = np.bincount(col, minlength=len(valid))
+        inc = _root_incidences(field, exps)
+        R = np.bincount(inc.col, minlength=len(inc.valid))
         if int(R.max()) <= best:
             continue
-        R[_c_above_1_columns(field, exps, R, col, valid, best + 1)] = -1  # out of the C <= 1 family
-        # first argmax = smallest admissible column: deterministic
-        top = int(np.argmax(R))
-        if R[top] > best:
-            best, best_at = int(R[top]), (exps, top)
+        # out of the C <= 1 family
+        R[_c_above_1_columns(field, exps, R, inc.col, inc.valid, best + 1)] = -1
+        top = int(R.max())
+        if top > best:
+            best, best_at = top, (exps, inc.exps, inc.weight, np.flatnonzero(R == top))
     if best_at is None:
         raise InternalInvariantError(f"no admissible polynomial for p={p}, t={t}")
-    witness = _poly_from_column(field, *best_at)
+    witness = _poly_from_column(field, best_at[0], _least_image(field, *best_at))
     if compute_C(witness) > 1:
         raise InternalInvariantError(
             f"vanishing-coset counts disagree with compute_C on {witness}"
         )
     return MaxRResult(value=best, witness=witness)
+
+
+def _least_image(field: FieldSpec, exps: tuple, order: tuple, weight: int, cols: np.ndarray) -> int:
+    """The least column of exps, in `_poly_from_column` order, among the
+    dilation images of the grid columns cols of `_root_incidences`, whose
+    coefficients follow order and each stand for weight columns.
+
+    x -> g**s * x maps column (1, c_2, ..., c_t) to (1, c_i * g**(s*a_i)).
+    The dilations by g**(s*weight) keep the pivot coefficient, so they map
+    grid columns to grid columns and keep R and C.  When cols is closed
+    under them, as the columns with a given R and C are, the images under
+    s < weight already cover every image: one (cols x weight) array, of
+    one entry per full-grid column with that R and C.
+    """
+    n = field.p - 1
+    tables = log_tables(field)
+    t = len(exps)
+    logs = np.zeros((len(cols), t), dtype=np.int64)  # log c_1 = 0
+    rest = cols
+    for i in range(t - 1, 0, -1):  # c_t first, up to the pivot c_2 on top
+        if i == 1 and t > 2:
+            logs[:, 1] = rest  # the pivot's label is g**rest
+        else:
+            rest, d = np.divmod(rest, n)
+            logs[:, i] = tables.log[d + 1]
+    logs = logs[:, [order.index(a) for a in exps]]
+    s = np.arange(weight)
+    image = np.zeros((len(cols), weight), dtype=np.int64)
+    for a, lg in zip(exps[1:], logs[:, 1:].T):  # c_2 is the highest digit
+        image = image * n + tables.exp[(lg[:, None] + s * a) % n] - 1
+    return int(image.min())
 
 
 @dataclass(frozen=True)
@@ -470,14 +543,14 @@ def conjecture_table(
     counts_all: Counter = Counter()
     counts_c1: Counter = Counter()
     for exps, weight in _affine_reps(n, t):
-        col, valid = _root_incidences(field, exps)
-        R = np.bincount(col, minlength=len(valid))
+        inc = _root_incidences(field, exps)
+        R = np.bincount(inc.col, minlength=len(inc.valid))
         hist = np.bincount(R)
-        above = R[_c_above_1_columns(field, exps, R, col, valid)]
+        above = R[_c_above_1_columns(field, exps, R, inc.col, inc.valid)]
         hist_c1 = hist - np.bincount(above, minlength=len(hist))
         for counts, h in ((counts_all, hist), (counts_c1, hist_c1)):
             for r in np.flatnonzero(h):
-                counts[int(r)] += int(h[r]) * n * weight
+                counts[int(r)] += int(h[r]) * n * weight * inc.weight
     total_all = sum(counts_all.values())
     total_c1 = sum(counts_c1.values())
     if total_c1 <= 0:

@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 import tracemalloc
@@ -31,6 +32,7 @@ from tnomial.experiments import (
     _c_above_1_columns,
     _coset_counts,
     _affine_reps,
+    _least_image,
     _nonzero_rows,
     _orbit_reps,
     _poly_from_column,
@@ -47,6 +49,7 @@ from tnomial.poly import (
     format_tnomial,
     log_tables,
     root_mask,
+    roots_on_units,
 )
 
 
@@ -185,17 +188,86 @@ def test_affine_reps_lead_their_orbits():
 
 
 def test_affine_weights_raise_on_a_broken_partition(monkeypatch):
-    # with every u taken for a unit, the multipliers no longer form a group
-    monkeypatch.setattr(experiments, "gcd", lambda u, n: 1)
+    # with the unit n-1 left out, the multipliers no longer form a group
+    # (5 * 7 = 11 mod 12); with every u taken for a unit, as this test did
+    # for the tuple walk, the rows are no longer sets and have no rank
+    monkeypatch.setattr(experiments, "gcd", lambda u, n: 2 if u == n - 1 else gcd(u, n))
     with pytest.raises(InternalInvariantError):
         _affine_reps(12, 3)
+
+
+def _tuple_affine_reps(n, t):
+    """The affine orbit walk over a Python set of sorted member tuples,
+    which the bitmap walk replaced: a reference for its order and weights."""
+    seen = set()
+    reps = []
+    for rest in itertools.combinations(range(1, n), t - 1):
+        A = (0,) + rest
+        if A in seen:
+            continue
+        members = {
+            tuple(sorted(u * (x - a) % n for x in A))
+            for u in range(n)
+            if gcd(u, n) == 1
+            for a in A
+        }
+        seen |= members
+        reps.append((A, len(members) * n // t))
+    return reps
+
+
+def test_affine_reps_match_the_tuple_walk():
+    for n in range(1, 41):
+        for t in range(1, min(n, 5) + 1):
+            assert _affine_reps(n, t) == _tuple_affine_reps(n, t), (n, t)
+    # t = 1 builds no units: the orbit of {0} is all n monomials
+    assert _affine_reps(15485862, 1) == [((0,), 15485862)]
+
+
+def test_affine_reps_memory_is_one_bitmap():
+    # (1008, 3): the tuple walk held every member tuple in a set (70 MiB
+    # traced); the bitmap holds one byte per set containing 0, C(1007, 2) =
+    # 506521.  At (11, 10) there are 10 such sets, where a bitmap indexed
+    # by the digits y_i base n would take 10**9 bytes
+    for n, t, orbits, limit in [(1008, 3, 1235, 2**20), (11, 10, 1, 2**16)]:
+        tracemalloc.start()
+        try:
+            reps = _affine_reps(n, t)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(reps) == orbits
+        assert peak < limit, (n, t)
 
 
 # -- translation-only references of the drivers --------------------------------
 
 
+def _full_incidences(field, exps):
+    """The full-grid kernel the dilation slice replaced: (col, valid) over
+    every scalar-normalized column (1, c_2, ..., c_t), in `_poly_from_column`
+    order, with one row per prefix (c_2, ..., c_{t-1}) and one column per
+    unit g**j, grid point F = r*(p-1) + j."""
+    p = field.p
+    n = p - 1
+    t = len(exps)
+    if t == 1:
+        return np.zeros(0, dtype=np.int64), np.zeros(1, dtype=bool)
+    pw = log_tables(field).exp
+    j = np.arange(n, dtype=np.int64)
+    minus = [p - pw[(a - exps[-1]) * j % n].astype(np.int64) for a in exps[:-1]]
+    r = np.arange(n ** (t - 2), dtype=np.int64)
+    ct = np.repeat(minus[0][None], len(r), axis=0)
+    rest = r
+    for m in reversed(minus[1:]):  # c_{t-1} is the lowest digit of r
+        rest, d = np.divmod(rest, n)
+        ct = (ct + (d + 1)[:, None] * m) % p
+    valid = ct != 0
+    return (ct + (r * n - 1)[:, None])[valid], valid.ravel()
+
+
 def _root_counts(field, exps):
-    col, valid = _root_incidences(field, exps)
+    col, valid = _full_incidences(field, exps)
     return np.bincount(col, minlength=len(valid))
 
 
@@ -221,8 +293,9 @@ def _c_above_1(field, exps, labels):
 
 
 def _translation_max_R(p, t):
-    """compute_max_R over every translation representative, as the drivers
-    ran before the affine reduction."""
+    """compute_max_R over every translation representative and every
+    column of the full grid, as the drivers ran before the affine and
+    dilation reductions."""
     field = make_prime_field(p)
     n = p - 1
     labels = _labels(p, t)
@@ -240,14 +313,15 @@ def _translation_max_R(p, t):
 
 
 def _translation_histograms(p, t):
-    """{r: (count_all, count_c1)} over every translation representative,
-    with the drivers' own C > 1 columns: a check of the affine weights,
-    while `_assert_c_above_1_matches_reference` checks the columns."""
+    """{r: (count_all, count_c1)} over every translation representative
+    and every column of the full grid, with the drivers' own C > 1
+    columns: a check of the affine and dilation weights, while
+    `_assert_c_above_1_matches_reference` checks the columns."""
     field = make_prime_field(p)
     n = p - 1
     all_, c1 = Counter(), Counter()
     for exps, orbit in _orbit_reps(n, t):
-        col, valid = _root_incidences(field, exps)
+        col, valid = _full_incidences(field, exps)
         R = np.bincount(col, minlength=len(valid))
         mask = np.zeros(len(R), dtype=bool)
         mask[_c_above_1_columns(field, exps, R, col, valid)] = True
@@ -264,7 +338,7 @@ def _assert_c_above_1_matches_reference(p, t):
     field = make_prime_field(p)
     labels = _labels(p, t)
     for exps, _ in _affine_reps(p - 1, t):
-        col, valid = _root_incidences(field, exps)
+        col, valid = _full_incidences(field, exps)
         R = np.bincount(col, minlength=len(valid))
         cand = np.flatnonzero(R >= 2)
         expected = cand[_c_above_1(field, exps, labels[:, cand])]
@@ -320,13 +394,39 @@ def test_drivers_run_no_kernel_for_t_up_to_3(monkeypatch):
 
 def test_drivers_agree_across_chunk_boundaries(monkeypatch):
     # chunks of 60 grid points are 5 rows of 12 units at (13, 4) and 10 rows
-    # of 6 at (7, 5), and neither divides the 144 and 216 rows: the
-    # incidences of every chunk, the short last one included, are joined
-    # before any count
+    # of 6 at (7, 5), and neither divides the d*12 and d*36 rows of the
+    # slices for d = 1: the incidences of every chunk, the short last one
+    # included, are joined before any count
     cases = [(13, 4), (7, 5)]
     expected = [(conjecture_table(p, t), compute_max_R(p, t)) for p, t in cases]
     monkeypatch.setattr(experiments, "_CHUNK", 60)
     assert [(conjecture_table(p, t), compute_max_R(p, t)) for p, t in cases] == expected
+
+
+def test_slice_histograms_times_the_weight_match_the_full_grid():
+    # every affine representative for p <= 43 at t = 2, 3 and p <= 31 at
+    # t = 4: the slice keeps d = min gcd(a_i, p-1) of the pivot's p-1
+    # values, and its histograms, all and C <= 1, are (p-1)/d times smaller
+    cases = [(p, t) for p in _primes(3, 43) for t in (2, 3, 4) if t < p and (t < 4 or p <= 31)]
+    for p, t in cases:
+        field = make_prime_field(p)
+        n = p - 1
+        for exps, _ in _affine_reps(n, t):
+            inc = _root_incidences(field, exps)
+            d = min(gcd(a, n) for a in exps[1:]) if t > 2 else n
+            assert inc.weight == n // d, (p, exps)
+            assert sorted(inc.exps) == list(exps) and len(inc.valid) * inc.weight == n ** (t - 1)
+            hists = []
+            full = _full_incidences(field, exps)
+            for col, valid, weight in [(inc.col, inc.valid, inc.weight), (*full, 1)]:
+                R = np.bincount(col, minlength=len(valid))
+                c1 = np.delete(R, _c_above_1_columns(field, exps, R, col, valid))
+                hists.append([_weighted_hist(R, weight), _weighted_hist(c1, weight)])
+            assert hists[0] == hists[1], (p, exps)
+
+
+def _weighted_hist(values, weight):
+    return {int(r): int(c) * weight for r, c in zip(*np.unique(values, return_counts=True))}
 
 
 # -- counting kernels against the object-level oracle -------------------------
@@ -342,34 +442,56 @@ def test_poly_from_column_follows_product_order():
 
 
 def test_root_incidences_memory_is_bounded_by_the_chunk():
-    # (p-1)**2 = 1016064 grid points: the outputs take 8.7 MB, and a
-    # materialized (3, (p-1)**2) coefficient matrix alone would take 24 MB
+    # (0, 336, 672) has d = 336, so its slice keeps 336 * 1008 = 338688 of
+    # the 1008**2 grid points; (0, 1, 2, 3) keeps 1008**2 of 1008**3
+    # (d = 1), whose outputs take 8.7 MB, where a materialized (4, 1008**2)
+    # coefficient matrix alone would take 32 MB
     field = make_prime_field(1009)
     log_tables(field)
-    tracemalloc.start()
-    try:
-        col, valid = _root_incidences(field, (0, 1, 2))
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert len(valid) == 1008**2
-    assert peak < col.nbytes + valid.nbytes + 3 * 8 * experiments._CHUNK
+    for exps, points in [((0, 336, 672), 336 * 1008), ((0, 1, 2, 3), 1008**2)]:
+        tracemalloc.start()
+        try:
+            inc = _root_incidences(field, exps)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(inc.valid) == points
+        assert peak < inc.col.nbytes + inc.valid.nbytes + 3 * 8 * experiments._CHUNK
+
+
+def _slice_poly(field, inc, c):
+    """The polynomial of grid column c of `_root_incidences`: c_t - 1 is the
+    lowest digit base p-1, the prefix digits c_i - 1 follow, and the pivot
+    c_2 = g**k, k < d, is the top digit."""
+    n = field.p - 1
+    t = len(inc.exps)
+    coeffs = []
+    for i in range(t - 1, 0, -1):
+        if i == 1 and t > 2:
+            coeffs.append(int(log_tables(field).exp[c]))
+        else:
+            c, digit = divmod(c, n)
+            coeffs.append(digit + 1)
+    return build(field, zip(inc.exps, [1] + coeffs[::-1]))
 
 
 def test_kernel_root_counts_match_bruteforce():
-    field = make_prime_field(7)
-    exps = (0, 2, 3)
-    R = _root_counts(field, exps)
-    col, valid = _root_incidences(field, exps)
-    j = np.flatnonzero(valid) % 6
-    log = log_tables(field).log
-    labels = _labels(7, 3)
-    for c in range(36):
-        f = _poly_from_column(field, exps, c)
-        assert int(R[c]) == count_roots_bruteforce(f)
-        # the incidences name the roots themselves, each once
-        mask = root_mask(field, exps, log[labels[:, c]])
-        assert j[col == c].tolist() == np.flatnonzero(mask).tolist()
+    # (0, 2, 3) at p = 7 pivots on 2 (gcd 2 < 3): c_2 is 1 or 3, and each
+    # of the 12 grid columns stands for 3; (0, 1, 3, 5) at p = 13 pivots on
+    # 1 (d = 1), and (0, 4, 6, 9) on 9 (gcd 3), which moves second
+    for p, exps, order in [(7, (0, 2, 3), (0, 2, 3)), (13, (0, 1, 3, 5), (0, 1, 3, 5)),
+                           (13, (0, 4, 6, 9), (0, 9, 4, 6))]:
+        field = make_prime_field(p)
+        inc = _root_incidences(field, exps)
+        assert inc.exps == order
+        R = np.bincount(inc.col, minlength=len(inc.valid))
+        j = np.flatnonzero(inc.valid) % (p - 1)
+        for c in range(len(R)):
+            f = _slice_poly(field, inc, c)
+            assert int(R[c]) == count_roots_bruteforce(f)
+            # the incidences name the roots themselves, each once
+            assert j[inc.col == c].tolist() == np.flatnonzero(roots_on_units(f)).tolist()
+    assert len(R) == 3 * 12**2
 
 
 def _coset_mask_columns(field, rng):
@@ -399,7 +521,7 @@ def test_coset_mask_matches_compute_C():
     for exps in [(0, 2, 4), (0, 1, 2, 3)]:
         labels = _labels(7, len(exps))
         mask = _c_above_1(field, exps, labels)
-        col, valid = _root_incidences(field, exps)
+        col, valid = _full_incidences(field, exps)
         R = np.bincount(col, minlength=labels.shape[1])
         above = _c_above_1_columns(field, exps, R, col, valid)
         expected = [
@@ -411,7 +533,7 @@ def test_coset_mask_matches_compute_C():
         assert np.array_equal(_c_above_1(field, exps, labels[:, cols]), mask[cols])
     # 1 + c*x**32768 vanishes on the squares (c = -1) or the non-squares (c = 1)
     big = make_prime_field(65537)
-    col, valid = _root_incidences(big, (0, 32768))
+    col, valid, _, _ = _root_incidences(big, (0, 32768))  # t = 2: the slice is every column
     R = np.bincount(col, minlength=65536)
     assert _c_above_1_columns(big, (0, 32768), R, col, valid).tolist() == [0, 65535]
     # dense columns: the samplers' transform, with planted cosets over
@@ -685,6 +807,47 @@ def test_max_R_frozen_values():
         res = compute_max_R(p, t)
         assert res.value == value
         assert format_tnomial(res.witness) == witness
+
+
+def test_drivers_at_sizes_the_full_grid_could_not_afford():
+    # the full-grid drivers took 20.7 s and 6.3 s for these on a 2-core
+    # x86_64 machine, and the slice 0.35 s and 0.25 s
+    res = compute_max_R(1009, 3, budget=10**15)
+    assert (res.value, format_tnomial(res.witness)) == (8, "1 + x + 531*x^434")
+    rows = conjecture_table(61, 4, budget=10**15)
+    assert (rows[0].max_R, rows[0].total_c1) == (8, 5978352247200)
+    assert rows[0].total_all == comb(60, 4) * 60**4
+
+
+def test_least_image_is_the_least_column_of_the_dilation_orbit():
+    # for each grid column c, its images under the d dilations that keep
+    # the pivot coefficient are grid columns K; the least image of K must
+    # be the least column, in full-grid order, of c's orbit under all
+    # p-1 dilations.  (0, 4, 5) at p = 13 pivots on 5, (0, 4, 8) on 4 with
+    # d = 4, and (0, 4, 6, 9) on 9 with d = 3
+    for p, exps in [(7, (0, 2, 3)), (13, (0, 4, 5)), (13, (0, 4, 8)), (13, (0, 4, 6, 9))]:
+        field = make_prime_field(p)
+        n = p - 1
+        log = log_tables(field).log
+        inc = _root_incidences(field, exps)
+        for c in range(len(inc.valid)):
+            coeffs = dict(_slice_poly(field, inc, c).terms)
+            orbit = [
+                {a: coeffs[a] * pow(field.g, s * a, p) % p for a in exps} for s in range(n)
+            ]
+            least = min(_column_of(f, exps[1:], n, 0) for f in orbit)
+            # lambda = g**(k*weight) has lambda**a = 1 for the pivot a
+            kept = orbit[:: inc.weight]
+            grid = [_column_of(f, inc.exps[2:], n, int(log[f[inc.exps[1]]])) for f in kept]
+            assert _least_image(field, exps, inc.exps, inc.weight, np.array(grid)) == least, (p, c)
+
+
+def _column_of(coeffs, exps, n, top):
+    """The column index with digits c_a - 1 base n for a in exps, the
+    first highest, below a top digit."""
+    for a in exps:
+        top = top * n + coeffs[a] - 1
+    return top
 
 
 def test_max_R_witness_is_admissible():
