@@ -109,7 +109,11 @@ def compute_C(f: TNomial) -> int:
     S(f) from the top down, on one root mask.
     """
     fn = normalize_lowest(f)
-    mask = roots_on_units(fn)
+    return _C_from_mask(fn, roots_on_units(fn))
+
+
+def _C_from_mask(fn: TNomial, mask) -> int:
+    """C of the normalized fn, read off its root mask."""
     for k in sorted((k for k in compute_S(fn) if k > 1), reverse=True):
         if _vanishing_cosets(fn, mask, k):
             return k

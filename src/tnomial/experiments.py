@@ -7,18 +7,12 @@ and nonzero coefficients, how R distributes, how it restricts to the
 subfamily with C <= 1, and what the record value of R on that subfamily
 is.
 
-Three enumeration granularities produce identical weighted counts:
+`enumerate_tnomials` yields every polynomial of the family, one at a
+time: the brute-force reference the drivers are tested against.
 
-  full           every polynomial, weight 1
-  scalar_reduced lowest-exponent coefficient fixed to 1; weight p-1,
-                 since R and C are invariant under scaling
-  orbit_reduced  additionally one exponent set per translation orbit
-                 mod p-1 (multiplying f by a power of x permutes no
-                 roots); weight (p-1) * orbit size
-
-The drivers `compute_max_R` and `conjecture_table` go one step further
-and run their kernels once per orbit of the affine group a -> u*a + s
-mod p-1, gcd(u, p-1) = 1.  The monomial change of variables x -> x**u
+The drivers `compute_max_R` and `conjecture_table` run their kernels
+once per orbit of the affine group a -> u*a + s mod p-1,
+gcd(u, p-1) = 1.  The monomial change of variables x -> x**u
 permutes the units and maps every coset to a coset of the same size, so
 R and C are invariant; on each exponent set it permutes the coefficient
 columns (with the lowest coefficient renormalized to 1), so histograms
@@ -73,7 +67,6 @@ from .numtheory import divisors, euler_phi, prime_divisors
 from .params import pairs_up
 from .poly import TNomial, build, log_tables
 
-MODES = ("full", "scalar_reduced", "orbit_reduced")
 DEFAULT_WORK_BUDGET = 10**10
 SAMPLING_FIELD_LIMIT = 4096
 
@@ -86,26 +79,7 @@ def _validate_t(p: int, t: int) -> None:
         raise InvalidT(f"term count t={t} must lie in [1, {p - 1}] for p={p}")
 
 
-# -- exponent-set orbits under translation mod n ----------------------------
-
-
-def _orbit_reps(n: int, t: int) -> Iterator[tuple]:
-    """Canonical exponent sets (containing 0, minimal among translates)
-    with their orbit sizes under a -> a + s mod n."""
-    # combinations() copies its pool, which a monomial does not need
-    for rest in combinations(range(1, n) if t > 1 else (), t - 1):
-        A = (0,) + rest
-        stab = 0
-        minimal = True
-        for a in A:
-            tr = tuple(sorted((x - a) % n for x in A))
-            if tr < A:
-                minimal = False
-                break
-            if tr == A:
-                stab += 1
-        if minimal:
-            yield A, n // stab
+# -- exponent-set orbits mod n -----------------------------------------------
 
 
 def _affine_reps(n: int, t: int) -> list:
@@ -120,7 +94,7 @@ def _affine_reps(n: int, t: int) -> list:
     the rows sorted(u*(x - a) mod n for x in A) of one (units x t) product
     per base point a in A, are marked seen.  The first member, the
     representative, is minimal among its translates, so it leads the orbit
-    in `_orbit_reps` order.  The maps taking A to a member form a coset of
+    in lexicographic order.  The maps taking A to a member form a coset of
     A's stabilizer, so each member fills as many of the |units| * t rows
     as A does, and each point lies in as many orbit sets as 0: the orbit
     has |units| * n / (rows equal to A) sets.  At t = 1 the one set {0} is
@@ -384,39 +358,27 @@ def estimate_enumeration_work(p: int, t: int) -> int:
 def _check_budget(p: int, t: int, budget: int) -> None:
     """BudgetExceeded when one enumeration of (p, t) would exceed budget
     (so a budget of 0 refuses every enumeration); a negative budget is
-    bad input."""
+    bad input.  Within budget, FieldTooLarge when the orbit walk's bitmap
+    of `_affine_reps` would hold more than 2**31 sets."""
     work = estimate_enumeration_work(p, t)
     if budget < 0:
         raise PreconditionViolated(f"budget must be non-negative, got {budget}")
     if work > budget:
         raise BudgetExceeded(f"estimated work {work} exceeds budget {budget}")
+    sets = comb(p - 2, t - 1)
+    if sets > 2**31:
+        raise FieldTooLarge(f"the orbit walk's {sets} exponent sets exceed 2**31")
 
 
-def enumerate_tnomials(p: int, t: int, mode: str = "full") -> Iterator[tuple]:
-    """Yield (polynomial, weight) pairs covering the family F(p, t) of
-    t-term polynomials with exponents below p-1 and nonzero coefficients.
-
-    Weighted counts of any scalar- and translation-invariant statistic
-    (R, C, the parameters) agree across modes; see the module docstring.
-    The iterator is lazy and unbudgeted.
-    """
-    if mode not in MODES:
-        raise PreconditionViolated(f"mode must be one of {MODES}, got {mode!r}")
+def enumerate_tnomials(p: int, t: int) -> Iterator[TNomial]:
+    """Yield every polynomial of the family F(p, t) of t-term polynomials
+    with exponents below p-1 and nonzero coefficients, lazily and
+    unbudgeted."""
     field = make_prime_field(p)
     _validate_t(p, t)
-    n = p - 1
-    if mode == "full":
-        for exps in combinations(range(n), t):
-            for coeffs in product(range(1, p), repeat=t):
-                yield build(field, zip(exps, coeffs)), 1
-    elif mode == "scalar_reduced":
-        for exps in combinations(range(n), t):
-            for coeffs in product(range(1, p), repeat=t - 1):
-                yield build(field, zip(exps, (1,) + coeffs)), n
-    else:
-        for exps, orbit in _orbit_reps(n, t):
-            for coeffs in product(range(1, p), repeat=t - 1):
-                yield build(field, zip(exps, (1,) + coeffs)), n * orbit
+    for exps in combinations(range(p - 1), t):
+        for coeffs in product(range(1, p), repeat=t):
+            yield build(field, zip(exps, coeffs))
 
 
 class MaxRResult(NamedTuple):

@@ -31,7 +31,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .cosets import compute_C
+from .cosets import _C_from_mask, compute_C
 from .errors import (
     EmptyInput,
     EmptyRange,
@@ -41,7 +41,7 @@ from .errors import (
 )
 from .numtheory import gcd_all
 from .params import compute_D, compute_delta, root_bound
-from .poly import TNomial, build, count_roots_bruteforce, normalize_lowest
+from .poly import TNomial, build, count_roots_bruteforce, normalize_lowest, roots_on_units
 
 _SCAN_CHUNK = 1 << 20
 
@@ -227,7 +227,8 @@ def degree_reduce(f: TNomial) -> ReductionCertificate:
     if f.t < 2:
         raise TooFewTerms("degree reduction needs t >= 2")
     fn = normalize_lowest(f)
-    return _degree_reduce(fn, compute_C(fn), count_roots_bruteforce(fn))
+    mask = roots_on_units(fn)
+    return _degree_reduce(fn, _C_from_mask(fn, mask), int(np.count_nonzero(mask)))
 
 
 def _degree_reduce(fn: TNomial, C: int, direct: int) -> ReductionCertificate:

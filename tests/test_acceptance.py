@@ -14,7 +14,6 @@ from typing import NamedTuple
 from tnomial.cosets import compute_C, find_vanishing_cosets, vanishes_on_coset
 from tnomial.errors import EmptyRange
 from tnomial.experiments import (
-    _orbit_reps,
     compute_max_R,
     conjecture_table,
     sample_vanishing_proportion,
@@ -30,6 +29,8 @@ from tnomial.poly import (
     normalize_lowest,
 )
 from tnomial.reduction import bound_from_C, degree_reduce, find_small_multiple, modular_norm
+
+from _orbits import _orbit_reps
 
 
 def _line(num: int, ok: bool, detail: str) -> None:

@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 import tnomial.cli as cli
+import tnomial.experiments as experiments
 from tnomial.cli import (
     EXIT_BUDGET,
     EXIT_INPUT,
@@ -205,7 +206,7 @@ BAD_LIBRARY_CALLS = {
     "element_label_negative": lambda: make_prime_field(7).element_from_int(-1),
     "modular_norm_modulus_zero": lambda: modular_norm([1, 2], 0),
     "small_multiple_modulus_zero": lambda: find_small_multiple([1, 2], 0, 2),
-    "enumeration_mode": lambda: next(enumerate_tnomials(7, 2, mode="bogus")),
+    "enumeration_t": lambda: next(enumerate_tnomials(7, 0)),
     "factorize_zero": lambda: factorize(0),
 }
 
@@ -245,6 +246,20 @@ def test_max_r_budget_exceeded(capsys):
     assert code == EXIT_BUDGET
     assert out == ""
     assert "budget" in err
+
+
+def test_oversized_orbit_walk_is_bad_input(capsys, monkeypatch):
+    def no_walk(n, t):
+        raise AssertionError("walked the orbits")
+
+    monkeypatch.setattr(experiments, "_affine_reps", no_walk)
+    for command in ("max-r", "conjecture"):
+        code, out, err = run_cli(
+            capsys, "experiment", command, "--p", "101", "--t", "60", "--budget", str(10**150)
+        )
+        assert code == EXIT_INPUT
+        assert out == ""
+        assert "orbit walk" in err
 
 
 def test_negative_budget_is_bad_input(capsys):

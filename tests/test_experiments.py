@@ -20,7 +20,6 @@ from tnomial.errors import (
     PreconditionViolated,
 )
 from tnomial.experiments import (
-    MODES,
     ExperimentRecord,
     compute_max_R,
     conjecture_table,
@@ -34,7 +33,6 @@ from tnomial.experiments import (
     _affine_reps,
     _least_image,
     _nonzero_rows,
-    _orbit_reps,
     _poly_from_column,
     _root_incidences,
     _sampled_counts,
@@ -52,48 +50,19 @@ from tnomial.poly import (
     roots_on_units,
 )
 
+from _orbits import _orbit_reps
 
-# -- enumeration modes --------------------------------------------------------
 
-
-def test_modes_tuple():
-    assert MODES == ("full", "scalar_reduced", "orbit_reduced")
+# -- full enumeration ---------------------------------------------------------
 
 
 def test_full_enumeration_sizes():
-    # 4 exponents, 4 nonzero coefficients each
-    polys = list(enumerate_tnomials(5, 1, "full"))
-    assert len(polys) == 16
-    assert all(w == 1 for _, w in polys)
-    assert len(set(polys)) == 16
-    # C(4,2) exponent pairs times 4^2 coefficient pairs
-    assert sum(w for _, w in enumerate_tnomials(5, 2, "full")) == 96
-
-
-def test_reduced_modes_preserve_weighted_size():
-    scalar = list(enumerate_tnomials(5, 2, "scalar_reduced"))
-    assert len(scalar) == 24
-    assert sum(w for _, w in scalar) == 96
-    orbit = list(enumerate_tnomials(5, 2, "orbit_reduced"))
-    assert sum(w for _, w in orbit) == 96
-    assert len(orbit) < len(scalar)
-
-
-def test_mode_histograms_agree():
-    """All three granularities give the same weighted (R, C) distribution."""
-    for p, t in [(5, 2), (7, 2), (5, 3)]:
-        hists = []
-        for mode in MODES:
-            h = Counter()
-            for f, w in enumerate_tnomials(p, t, mode):
-                h[(count_roots_bruteforce(f), compute_C(f))] += w
-            hists.append(h)
-        assert hists[0] == hists[1] == hists[2]
-
-
-def test_enumerate_rejects_bad_mode():
-    with pytest.raises(ValueError):
-        next(enumerate_tnomials(5, 2, "fast"))
+    # comb(p-1, t) exponent sets, (p-1)**t nonzero coefficient vectors each
+    for p, t in [(5, 1), (5, 2), (7, 3)]:
+        polys = list(enumerate_tnomials(p, t))
+        assert len(polys) == comb(p - 1, t) * (p - 1) ** t
+        assert len(set(polys)) == len(polys)
+        assert all(f.t == t for f in polys)
 
 
 def test_enumerate_rejects_bad_t():
@@ -654,11 +623,11 @@ def test_conjecture_table_matches_direct_enumeration():
     for p, t in [(5, 2), (7, 3)]:
         all_counts = Counter()
         c1_counts = Counter()
-        for f, w in enumerate_tnomials(p, t, "full"):
+        for f in enumerate_tnomials(p, t):
             r = count_roots_bruteforce(f)
-            all_counts[r] += w
+            all_counts[r] += 1
             if compute_C(f) <= 1:
-                c1_counts[r] += w
+                c1_counts[r] += 1
         rows = conjecture_table(p, t)
         assert {r.r: r.count_all for r in rows} == dict(all_counts)
         assert {r.r: r.count_c1 for r in rows if r.count_c1} == dict(c1_counts)
@@ -777,6 +746,32 @@ def test_drivers_refuse_fields_above_the_scan_ceiling_before_any_orbit(monkeypat
         conjecture_table(p, 1)
 
 
+def test_drivers_refuse_an_orbit_walk_over_2_to_the_31_sets(monkeypatch):
+    # the walk's bitmap has comb(p-2, t-1) entries: 4.3e10 at (1009, 5),
+    # and at (101, 60) its int64 binomial table overflows (comb(99, 59) is
+    # 8.2e27).  Both fit their budgets, so the check runs after the budget
+    def no_walk(n, t):
+        raise AssertionError("walked the orbits")
+
+    monkeypatch.setattr(experiments, "_affine_reps", no_walk)
+    for p, t, budget in [(1009, 5, 10**40), (101, 60, 10**150)]:
+        assert estimate_enumeration_work(p, t) <= budget
+        with pytest.raises(FieldTooLarge):
+            compute_max_R(p, t, budget=budget)
+        with pytest.raises(FieldTooLarge):
+            conjecture_table(p, t, budget=budget)
+        with pytest.raises(BudgetExceeded):
+            compute_max_R(p, t, budget=1)
+    # the ceiling is on comb(p-2, t-1), the sets that contain 0: at
+    # (41, 12) that is 1.68e9 sets and the walk starts, though comb(p-1,
+    # t-1) is 2.3e9; at (41, 13) it is 3.9e9
+    for driver in (compute_max_R, conjecture_table):
+        with pytest.raises(AssertionError, match="walked the orbits"):
+            driver(41, 12, budget=estimate_enumeration_work(41, 12))
+        with pytest.raises(FieldTooLarge):
+            driver(41, 13, budget=estimate_enumeration_work(41, 13))
+
+
 def test_invalid_t_rejected():
     with pytest.raises(InvalidT):
         compute_max_R(5, 5)
@@ -862,7 +857,7 @@ def test_max_R_matches_direct_search():
     for p, t in [(5, 2), (7, 3)]:
         best = max(
             count_roots_bruteforce(f)
-            for f, _ in enumerate_tnomials(p, t, "full")
+            for f in enumerate_tnomials(p, t)
             if compute_C(f) <= 1
         )
         assert compute_max_R(p, t).value == best

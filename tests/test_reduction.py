@@ -6,7 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from tnomial import reduction
+from tnomial import cosets, poly, reduction
 from tnomial.errors import (
     EmptyInput,
     EmptyRange,
@@ -280,6 +280,34 @@ def test_degree_reduce_extension():
     cert = degree_reduce(f)
     assert cert.root_count == count_roots_bruteforce(f) == 4
     assert sum(cert.root_accounting) == cert.k * 4
+
+
+def test_degree_reduce_scans_f_once(monkeypatch):
+    """C and R are read off one root mask of f, and each reduced
+    polynomial is scanned by its own: 1 + k masks per reduction."""
+    calls = []
+    real = poly.roots_on_units
+
+    def counted(f):
+        calls.append(f)
+        return real(f)
+
+    for module in (poly, cosets, reduction):
+        monkeypatch.setattr(module, "roots_on_units", counted)
+    rng = random.Random(11)
+    cases = [build(F13, [(0, 1), (4, 1), (8, 1)])]
+    for q in (13, 31, 61):
+        F = make_prime_field(q)
+        for _ in range(10):
+            exps = rng.sample(range(q - 1), rng.randint(2, 4))
+            cases.append(build(F, [(a, rng.randint(1, q - 1)) for a in exps]))
+    ks = []
+    for f in cases:
+        calls.clear()
+        cert = degree_reduce(f)
+        assert len(calls) == 1 + cert.k, f
+        ks.append(cert.k)
+    assert max(ks) > 1
 
 
 def test_bound_from_C_frozen():
