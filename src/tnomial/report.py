@@ -100,8 +100,11 @@ def analyze(f: TNomial) -> dict:
     The report builds the root mask of f once (when q-1 <= 2**22) and
     reads R, C, the vanishing-coset witnesses, the decomposition, the
     reduction's direct count and bound_C off it; each reduced polynomial
-    of the reduction is scanned on its own.  Where both root counts run,
-    a disagreement raises InternalInvariantError."""
+    of the reduction is scanned on its own.  The gcd oracle runs on f or
+    on the k reduced polynomials h_i, whichever has the smaller sum of
+    squared spans (_gcd_root_count); on the reduced side gcd_degree is
+    sum_i deg gcd(h_i, x**(q-1) - 1) / k.  Where both root counts run, a
+    disagreement, for f or for one h_i, raises InternalInvariantError."""
     F = f.field
     q = F.q
     report: dict = {
@@ -127,18 +130,30 @@ def analyze(f: TNomial) -> dict:
 
     fn = normalize_lowest(f)
     mask = roots_on_units(fn) if q - 1 <= BRUTE_FORCE_LIMIT else None
-
-    roots: dict = {}
-    r_value = None
+    r_value = c_value = cert = None
     if mask is not None:
         r_value = int(np.count_nonzero(mask))
+        # S(f) holds every size of a vanishing coset, so C is the largest
+        # witnessed k, else 1 or 0 as f has roots or not
+        witnesses = [
+            w
+            for k in (report["params"]["S"] if f.t >= 2 else ())
+            if k > 1
+            for w in _vanishing_cosets(fn, mask, k)
+        ]
+        c_value = max((w.k for w in witnesses), default=int(mask.any()))
+        if f.t >= 2:
+            cert = _degree_reduce(fn, c_value, r_value)
+
+    roots: dict = {}
+    if mask is not None:
         roots["bruteforce"] = r_value
     else:
         roots["bruteforce"] = None
         roots["bruteforce_note"] = "unit group too large for the direct scan"
     if q <= GCD_LIMIT and (F.k == 1 or q <= GCD_GENERIC_LIMIT):
         # q <= GCD_LIMIT < BRUTE_FORCE_LIMIT, so the scan has run
-        roots["gcd_degree"] = count_roots_gcd(f)
+        roots["gcd_degree"] = _gcd_root_count(fn, cert)
         if roots["gcd_degree"] != r_value:
             raise InternalInvariantError(
                 f"the scan counts {r_value} roots and the gcd oracle {roots['gcd_degree']}"
@@ -149,15 +164,6 @@ def analyze(f: TNomial) -> dict:
     report["roots"] = roots
 
     if mask is not None:
-        # S(f) holds every size of a vanishing coset, so C is the largest
-        # witnessed k, else 1 or 0 as f has roots or not
-        witnesses = [
-            w
-            for k in (report["params"]["S"] if f.t >= 2 else ())
-            if k > 1
-            for w in _vanishing_cosets(fn, mask, k)
-        ]
-        c_value = max((w.k for w in witnesses), default=int(mask.any()))
         report["C"] = c_value
         if c_value == 0:
             report["C_note"] = "no nonzero roots at all"
@@ -174,19 +180,17 @@ def analyze(f: TNomial) -> dict:
             for w in witnesses
         ]
     else:
-        c_value = None
         report["C"] = None
         report["C_note"] = "unit group too large to certify coset structure"
         report["vanishing_cosets"] = None
 
-    if f.t >= 2 and mask is not None:
+    if cert is not None:
         dec = _decomposition_from_mask(fn, mask)
         report["decomposition"] = {
             "delta": dec.delta,
             "coset_count": dec.coset_count,
             "bound": dec.bound,
         }
-        cert = _degree_reduce(fn, c_value, r_value)
         report["reduction"] = {
             "n": cert.n,
             "e": cert.e,
@@ -224,6 +228,28 @@ def analyze(f: TNomial) -> dict:
         report["verdicts"] = {}
 
     return report
+
+
+def _gcd_root_count(fn: TNomial, cert) -> int:
+    """R(fn) by the gcd oracle, on fn or on the reduced polynomials of cert.
+
+    The oracle's Euclid is quadratic in the span (degree after
+    normalize_lowest) of its input, so it runs on the h_i when the sum of
+    their squared spans is below fn's squared span, and on fn otherwise
+    or when there is no reduction.  On the reduced side each count must
+    equal the scan's count for its h_i, and the counts sum to k * R(fn)."""
+    if cert is None or (
+        sum(normalize_lowest(h).degree ** 2 for h in cert.reduced_polys) >= fn.degree**2
+    ):
+        return count_roots_gcd(fn)
+    counts = [count_roots_gcd(h) for h in cert.reduced_polys]
+    for i, (got, scanned) in enumerate(zip(counts, cert.root_accounting)):
+        if got != scanned:
+            raise InternalInvariantError(
+                f"the scan counts {scanned} roots of reduced polynomial {i}"
+                f" and the gcd oracle {got}"
+            )
+    return sum(counts) // cert.k
 
 
 def report_verdict_failures(report: dict) -> list:

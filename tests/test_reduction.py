@@ -14,7 +14,7 @@ from tnomial.errors import (
     TooFewTerms,
 )
 from tnomial.field import make_extension_field, make_prime_field
-from tnomial.poly import build, count_roots_bruteforce
+from tnomial.poly import build, count_roots_bruteforce, count_roots_gcd
 from tnomial.reduction import (
     bound_from_C,
     bound_from_D,
@@ -272,6 +272,37 @@ def test_degree_reduce_random_soundness():
             assert len(cert.reduced_polys) == cert.k
             for h in cert.reduced_polys:
                 assert h.degree <= 2 * cert.M
+
+
+@pytest.mark.parametrize(
+    "F",
+    [
+        *(make_prime_field(p) for p in (257, 1009, 4093, 6007)),
+        make_extension_field(2, 8),
+        make_extension_field(3, 5),
+        make_extension_field(7, 3),
+    ],
+    ids=lambda F: f"q{F.q}",
+)
+def test_gcd_oracle_agrees_on_f_and_on_its_reduced_polynomials(F):
+    """deg gcd(f, x^(q-1) - 1) = sum_i deg gcd(h_i, x^(q-1) - 1) / k = R(f),
+    over five draws with k = 1 and five with k > 1 per field."""
+    rng = random.Random(F.q)
+    N = F.q - 1
+    wanted = {False: 5, True: 5}  # keyed by k > 1
+    while any(wanted.values()):
+        # a common exponent factor with N makes k > 1 likelier
+        step = rng.choice([d for d in (1, 2, 3, 4) if N % d == 0])
+        exps = rng.sample(range(0, N, step), rng.randint(2, 6))
+        f = build(F, [(a, F.element_from_int(rng.randint(1, N))) for a in exps])
+        cert = degree_reduce(f)
+        if not wanted[cert.k > 1]:
+            continue
+        wanted[cert.k > 1] -= 1
+        counts = tuple(count_roots_gcd(h) for h in cert.reduced_polys)
+        assert counts == cert.root_accounting, f
+        assert sum(counts) % cert.k == 0, f
+        assert count_roots_gcd(f) == sum(counts) // cert.k == count_roots_bruteforce(f), f
 
 
 def test_degree_reduce_extension():

@@ -11,7 +11,8 @@ from tnomial.errors import InternalInvariantError
 from tnomial.cosets import _vanishing_cosets
 from tnomial.experiments import compute_max_R, conjecture_table
 from tnomial.field import make_extension_field, make_prime_field
-from tnomial.poly import build, parse_tnomial
+from tnomial.poly import build, normalize_lowest, parse_tnomial
+from tnomial.reduction import degree_reduce
 from tnomial.report import (
     SCHEMA_VERSION,
     analyze,
@@ -160,10 +161,18 @@ def test_analyze_extension_field():
     assert rep["C_note"] == "roots exist but no full coset of size > 1 vanishes"
 
 
-@pytest.mark.parametrize("argv", [["--p", "7", "x^3 + 1"], ["--p", "3", "--k", "2", "x^3 + x + 1"]])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--p", "7", "x^3 + 1"],
+        ["--p", "3", "--k", "2", "x^3 + x + 1"],
+        # the oracle runs on the three reduced polynomials, not on f
+        ["--p", "31", "23 + 30*x^9"],
+    ],
+)
 def test_analyze_raises_when_the_root_counts_disagree(monkeypatch, capsys, argv):
     # a gcd count one above the scan's is a broken invariant: exit 4
-    F = make_prime_field(7) if "--k" not in argv else make_extension_field(3, 2)
+    F = make_prime_field(int(argv[1])) if "--k" not in argv else make_extension_field(3, 2)
     f = parse_tnomial(F, argv[-1])
     roots = poly.count_roots_bruteforce(f)
     assert analyze(f)["roots"]["gcd_degree"] == roots
@@ -174,6 +183,67 @@ def test_analyze_raises_when_the_root_counts_disagree(monkeypatch, capsys, argv)
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "gcd oracle" in captured.err
+
+
+def test_analyze_checks_the_oracle_on_each_reduced_polynomial(monkeypatch, capsys):
+    """Off by +1 on h_0 and -1 on h_1, the oracle's sum is still k * R(f),
+    but its count for each h_i must match that h_i's scan."""
+    argv = ["--p", "31", "23 + 30*x^9"]
+    f = parse_tnomial(make_prime_field(31), argv[-1])
+    h = degree_reduce(f).reduced_polys
+    assert len(h) == 3
+    real = report.count_roots_gcd
+    off = {h[0].terms: 1, h[1].terms: -1}
+    monkeypatch.setattr(report, "count_roots_gcd", lambda g: real(g) + off.get(g.terms, 0))
+    with pytest.raises(InternalInvariantError, match="reduced polynomial 0"):
+        analyze(f)
+    assert cli.main(["analyze", *argv]) == cli.EXIT_INTERNAL == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "gcd oracle" in captured.err
+
+
+def _oracle_inputs(monkeypatch, f):
+    """analyze(f), and each polynomial the gcd oracle saw, normalized."""
+    seen = []
+    real = report.count_roots_gcd
+
+    def spy(g):
+        seen.append(normalize_lowest(g))
+        return real(g)
+
+    monkeypatch.setattr(report, "count_roots_gcd", spy)
+    return analyze(f), seen
+
+
+def test_analyze_keeps_the_oracle_within_2M_on_a_high_degree_f(monkeypatch):
+    # an analyze_gcd-like slot: seven terms spanning 5900 of F_6007's units
+    F = make_prime_field(6007)
+    rng = random.Random(0)
+    exps = [0, 5900] + rng.sample(range(1, 5900), 5)
+    f = build(F, [(a, rng.randint(1, 6006)) for a in exps])
+    rep, seen = _oracle_inputs(monkeypatch, f)
+    red = rep["reduction"]
+    assert red["k"] == len(seen) == 3
+    assert max(g.degree for g in seen) <= 2 * red["M"] < 5900
+    assert rep["roots"]["gcd_degree"] == rep["roots"]["bruteforce"] == 3
+
+
+@pytest.mark.parametrize(
+    "p, text, side",
+    [
+        (7, "6 + x^3", "f"),  # h_0 = 1 + 6*x^3: a tie goes to f
+        (13, "12 + x + 3*x^5", "f"),  # k = 2, spans 4 and 4: 32 >= 25
+        (31, "23 + 30*x^9", "h"),  # k = 3, spans 3 each: sum 9 = span(f), squares 27 < 81
+        (61, "47*x^20 + 3*x^36", "h"),  # k = 4, degrees 8 but spans 4: 64 < 256 = 4 * 8^2
+    ],
+)
+def test_analyze_runs_the_oracle_on_the_side_of_smaller_squared_spans(monkeypatch, p, text, side):
+    f = parse_tnomial(make_prime_field(p), text)
+    inputs = [f] if side == "f" else degree_reduce(f).reduced_polys
+    rep, seen = _oracle_inputs(monkeypatch, f)
+    assert [g.terms for g in seen] == [normalize_lowest(g).terms for g in inputs]
+    assert rep["roots"]["gcd_degree"] == rep["roots"]["bruteforce"] > 0
 
 
 def test_analyze_beyond_gcd_limit_keeps_bruteforce():
