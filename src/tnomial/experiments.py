@@ -28,7 +28,9 @@ C > 1 off one list of (column, root) incidences, `_root_incidences`: a
 column vanishes on a coset of l units exactly when l of its roots share a
 residue class.  The samplers evaluate each dense polynomial at every unit
 of F_q by a two-stage Fourier transform over F_q (`_unit_zero_mask`) and
-read the counts off its zero mask.
+read the counts off its zero mask.  While the second stage's table is
+small, both stages are one small matmul per sample, which OpenBLAS runs on
+the calling thread, not its thread pool.
 
 The incidence kernel exploits two symmetries of the coefficients.  With
 c_1 = 1 and exponents fixed, it walks a grid with one row per prefix
@@ -273,22 +275,28 @@ def _digit_matrix(field: FieldSpec, logs: np.ndarray) -> np.ndarray:
 
 def _unit_transform(field: FieldSpec) -> tuple:
     """Tables (W1, T, W2) of `_unit_zero_mask` for n = q-1 = n1*n2, with n1
-    the largest divisor of n up to sqrt(n).
+    the largest divisor of n up to sqrt(n), and whether stage 1 is reduced
+    mod p.
 
     Write i = n2*i1 + i2 and j = j1 + n1*j2; then n divides n2*i1*n1*j2, so
     f(g**j) = sum_i2 g**(n1*i2*j2) * g**(i2*j1) * sum_i1 g**(n2*i1*j1) c_i:
     W1 is the n1 x n1 table g**(n2*i1*j1), T the twiddles g**(i2*j1) and W2
     the n2 x n2 table g**(n1*i2*j2), each entry its k x k digit matrix.
-    Stage 1 sums k*n1 products of digits below p, the reduction mod p
-    leaves digits below p, a twiddled digit sums k products, and stage 2
-    sums k*n2 products of a twiddled digit and a digit.  Below 2**53 those
+    Stage 1 sums k*n1 products of digits below p, a twiddled digit sums k
+    products of a stage-1 sum and a digit, and stage 2 sums k*n2 products
+    of a twiddled digit and a digit: k**3 * n * (p-1)**4 at most.  Only
+    when that reaches 2**53 is stage 1 reduced mod p, to digits below p,
+    and stage 2 then sums up to k**2 * n2 * (p-1)**3.  Below 2**53 those
     float64 sums are exact, and an integer sum s has s / p whole iff p | s,
-    so the bound is checked before any table is built.
+    so the bound of the path taken is checked before any table is built.
     """
     p, k, n = field.p, field.k, field.q - 1
     n1 = max(d for d in divisors(n) if d * d <= n)
     n2 = n // n1
-    top = max(k * n1 * (p - 1) ** 2, k * (p - 1) ** 2, k * n2 * (p - 1) * k * (p - 1) ** 2)
+    top = k**3 * n * (p - 1) ** 4
+    reduce = top >= 2**53
+    if reduce:
+        top = max(k * n1 * (p - 1) ** 2, k**2 * n2 * (p - 1) ** 3)
     if top >= 2**53:
         raise InternalInvariantError(f"float64 sums up to {top} exceed 2**53 and would round")
     a1, a2 = np.arange(n1, dtype=np.int64), np.arange(n2, dtype=np.int64)
@@ -296,6 +304,7 @@ def _unit_transform(field: FieldSpec) -> tuple:
         _digit_matrix(field, n2 * np.multiply.outer(a1, a1)),
         _digit_matrix(field, np.multiply.outer(a1, a2)).reshape(k, n1, k, n2),
         _digit_matrix(field, n1 * np.multiply.outer(a2, a2)),
+        reduce,
     )
 
 
@@ -306,10 +315,15 @@ def _unit_zero_mask(field: FieldSpec, transform: tuple, rows: np.ndarray) -> np.
     The rows go through in one pass, in four float64 working buffers of
     the rows' size.  The digits are laid out (sample, digit, i1, i2), so
     stage 1 is one table broadcast over the samples, and the twiddle writes
-    (sample, j1, digit, i2), so stage 2 is one matmul with W2 transposed;
-    at k = 1 neither layout moves a sample's entries.
+    (sample, j1, digit, i2), so stage 2 multiplies by W2 transposed; at
+    k = 1 neither layout moves a sample's entries.  Stage 1 is reduced mod
+    p only when `_unit_transform` says the unreduced sums could round.
+    While W2 has at most _SUB_BLOCK entries, stage 2 is one small matmul
+    per sample, as stage 1 is, which OpenBLAS runs on the calling thread;
+    one matmul over the whole block would wake its thread pool.  A larger
+    W2 is read once per block instead of once per sample.
     """
-    W1, T, W2 = transform
+    W1, T, W2, reduce = transform
     p, k, n = field.p, field.k, field.q - 1
     n1 = len(W1) // k
     n2 = n // n1
@@ -320,16 +334,18 @@ def _unit_zero_mask(field: FieldSpec, transform: tuple, rows: np.ndarray) -> np.
         rest, digits[:, d * n : (d + 1) * n] = np.divmod(rest, p)
     digits[:, (k - 1) * n :] = rest
     Y = np.matmul(W1, digits.reshape(m, k * n1, n2), out=Y.reshape(m, k * n1, n2))
-    # below 2**53 floor(Y / p) is the exact quotient, so Y becomes Y mod p
-    quot = tmp.reshape(Y.shape)
-    np.floor(np.divide(Y, p, out=quot), out=quot)
-    Y -= np.multiply(quot, p, out=quot)
+    if reduce:
+        # below 2**53 floor(Y / p) is the exact quotient, so Y becomes Y mod p
+        quot = tmp.reshape(Y.shape)
+        np.floor(np.divide(Y, p, out=quot), out=quot)
+        Y -= np.multiply(quot, p, out=quot)
     Y, Z = Y.reshape(m, k, n1, n2), Z.reshape(m, n1, k, n2)
     for e2 in range(k):
         np.multiply(Y[:, 0], T[e2, :, 0], out=Z[:, :, e2])
         for e in range(1, k):
             Z[:, :, e2] += Y[:, e] * T[e2, :, e]
-    sums = np.matmul(Z.reshape(m * n1, k * n2), W2.T, out=digits.reshape(m * n1, k * n2))
+    shape = (m, n1, k * n2) if W2.size <= _SUB_BLOCK else (m * n1, k * n2)
+    sums = np.matmul(Z.reshape(shape), W2.T, out=digits.reshape(shape))
     sums /= p  # whole iff p | sums, since the sums are integers below 2**53
     whole = sums == np.floor(sums, out=tmp.reshape(sums.shape))
     # j = j1 + n1*j2: write (j1, j2) into a (j2, j1) view of the rows
@@ -556,15 +572,17 @@ def _rhs(r: int, gamma: float) -> float:
 def _nonzero_rows(rng, take: int, q: int, n: int) -> np.ndarray:
     """take uniform element-label rows over F_q; all-zero rows are redrawn,
     so these are the first take nonzero rows of rng's stream, out of order.
-    numpy's int64 draws concatenate across calls, so consecutive calls give
-    the first nonzero rows of one stream however the takes are split: a
-    caller may block freely and its histograms do not change."""
-    coefs = rng.integers(0, q, size=(take, n), dtype=np.int64)
+    numpy's bounded draws concatenate across calls, so consecutive calls
+    give the first nonzero rows of one stream however the takes are split:
+    a caller may block freely and its histograms do not change.  Below
+    2**31 numpy draws int32 and int64 by the same 32-bit Lemire method,
+    so the int32 rows are the int64 stream's, and cheaper to draw."""
+    coefs = rng.integers(0, q, size=(take, n), dtype=np.int32)
     while True:
         dead = np.flatnonzero(~coefs.any(axis=1))
         if len(dead) == 0:
             return coefs
-        coefs[dead] = rng.integers(0, q, size=(len(dead), n), dtype=np.int64)
+        coefs[dead] = rng.integers(0, q, size=(len(dead), n), dtype=np.int32)
 
 
 def _coset_counts(zero: np.ndarray, ells) -> np.ndarray:
