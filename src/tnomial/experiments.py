@@ -29,8 +29,8 @@ column vanishes on a coset of l units exactly when l of its roots share a
 residue class.  The samplers evaluate each dense polynomial at every unit
 of F_q by a two-stage Fourier transform over F_q (`_unit_zero_mask`) and
 read the counts off its zero mask.  While the second stage's table is
-small, both stages are one small matmul per sample, which OpenBLAS runs on
-the calling thread, not its thread pool.
+of middling size, both stages are one small matmul per sample, which
+OpenBLAS runs on the calling thread, not its thread pool.
 
 The incidence kernel exploits two symmetries of the coefficients.  With
 c_1 = 1 and exponents fixed, it walks a grid with one row per prefix
@@ -74,6 +74,9 @@ SAMPLING_FIELD_LIMIT = 4096
 
 _CHUNK = 1 << 20
 _SUB_BLOCK = 1 << 15
+# stage 2 of `_unit_zero_mask` is one matmul per sample while W2 has this
+# many entries; BENCH_25.json holds the timings the range was set from
+_PER_SAMPLE_W2 = (1 << 8, 1 << 13)
 
 
 def _validate_t(p: int, t: int) -> None:
@@ -318,10 +321,14 @@ def _unit_zero_mask(field: FieldSpec, transform: tuple, rows: np.ndarray) -> np.
     (sample, j1, digit, i2), so stage 2 multiplies by W2 transposed; at
     k = 1 neither layout moves a sample's entries.  Stage 1 is reduced mod
     p only when `_unit_transform` says the unreduced sums could round.
-    While W2 has at most _SUB_BLOCK entries, stage 2 is one small matmul
-    per sample, as stage 1 is, which OpenBLAS runs on the calling thread;
-    one matmul over the whole block would wake its thread pool.  A larger
-    W2 is read once per block instead of once per sample.
+    Stage 2 is one matmul per block, except while W2 has 2**8 to 2**13
+    entries (`_PER_SAMPLE_W2`): there one matmul over the block is large
+    enough to wake OpenBLAS's thread pool, whose second thread about
+    doubles the CPU time, and one small matmul per sample, as stage 1 is,
+    stays on the calling thread for a median 5% more one-thread time.  A
+    smaller W2 keeps the block's matmul on one thread, and above 2**13
+    entries the per-sample matmuls cost a median 10-36% more one-thread
+    time, rising with W2.
     """
     W1, T, W2, reduce = transform
     p, k, n = field.p, field.k, field.q - 1
@@ -344,7 +351,8 @@ def _unit_zero_mask(field: FieldSpec, transform: tuple, rows: np.ndarray) -> np.
         np.multiply(Y[:, 0], T[e2, :, 0], out=Z[:, :, e2])
         for e in range(1, k):
             Z[:, :, e2] += Y[:, e] * T[e2, :, e]
-    shape = (m, n1, k * n2) if W2.size <= _SUB_BLOCK else (m * n1, k * n2)
+    lo, hi = _PER_SAMPLE_W2
+    shape = (m, n1, k * n2) if lo <= W2.size <= hi else (m * n1, k * n2)
     sums = np.matmul(Z.reshape(shape), W2.T, out=digits.reshape(shape))
     sums /= p  # whole iff p | sums, since the sums are integers below 2**53
     whole = sums == np.floor(sums, out=tmp.reshape(sums.shape))
@@ -572,17 +580,15 @@ def _rhs(r: int, gamma: float) -> float:
 def _nonzero_rows(rng, take: int, q: int, n: int) -> np.ndarray:
     """take uniform element-label rows over F_q; all-zero rows are redrawn,
     so these are the first take nonzero rows of rng's stream, out of order.
-    numpy's bounded draws concatenate across calls, so consecutive calls
-    give the first nonzero rows of one stream however the takes are split:
-    a caller may block freely and its histograms do not change.  Below
-    2**31 numpy draws int32 and int64 by the same 32-bit Lemire method,
-    so the int32 rows are the int64 stream's, and cheaper to draw."""
-    coefs = rng.integers(0, q, size=(take, n), dtype=np.int32)
+    numpy's int64 draws concatenate across calls, so consecutive calls give
+    the first nonzero rows of one stream however the takes are split: a
+    caller may block freely and its histograms do not change."""
+    coefs = rng.integers(0, q, size=(take, n), dtype=np.int64)
     while True:
         dead = np.flatnonzero(~coefs.any(axis=1))
         if len(dead) == 0:
             return coefs
-        coefs[dead] = rng.integers(0, q, size=(len(dead), n), dtype=np.int32)
+        coefs[dead] = rng.integers(0, q, size=(len(dead), n), dtype=np.int64)
 
 
 def _coset_counts(zero: np.ndarray, ells) -> np.ndarray:
