@@ -325,10 +325,11 @@ def _unit_zero_mask(field: FieldSpec, transform: tuple, rows: np.ndarray) -> np.
     entries (`_PER_SAMPLE_W2`): there one matmul over the block is large
     enough to wake OpenBLAS's thread pool, whose second thread about
     doubles the CPU time, and one small matmul per sample, as stage 1 is,
-    stays on the calling thread for a median 5% more one-thread time.  A
-    smaller W2 keeps the block's matmul on one thread, and above 2**13
-    entries the per-sample matmuls cost a median 10-36% more one-thread
-    time, rising with W2.
+    stays on the calling thread.  That costs a median 5% more one-thread
+    time, and up to a quarter more wall time near q = 4096, where the
+    pool's second thread also saves wall time.  A smaller W2 keeps the
+    block's matmul on one thread, and above 2**13 entries the per-sample
+    matmuls cost a median 10-36% more one-thread time, rising with W2.
     """
     W1, T, W2, reduce = transform
     p, k, n = field.p, field.k, field.q - 1
