@@ -105,19 +105,20 @@ def compute_C(f: TNomial) -> int:
     0 if f has no nonzero root, 1 if it has roots but no such coset.
 
     Only k in S(f) can carry a vanishing coset (a residue class with a
-    single term has a lone nonzero summand), so the search runs over
-    S(f) from the top down, on one root mask.
+    single term has a lone nonzero summand), so C is read off the
+    witnesses of every k in S(f), k > 1, on one root mask: one coset
+    search per k, with no early exit at the largest k.
     """
     fn = normalize_lowest(f)
-    return _C_from_mask(fn, roots_on_units(fn))
+    return _witnesses(fn, roots_on_units(fn), compute_S(fn))[1]
 
 
-def _C_from_mask(fn: TNomial, mask) -> int:
-    """C of the normalized fn, read off its root mask."""
-    for k in sorted((k for k in compute_S(fn) if k > 1), reverse=True):
-        if _vanishing_cosets(fn, mask, k):
-            return k
-    return 1 if mask.any() else 0
+def _witnesses(fn: TNomial, mask, S) -> tuple[list[CosetWitness], int]:
+    """The witnesses of the normalized fn for every k in S with k > 1, in
+    the order of S, and C: the largest witnessed k, else 1 or 0 as fn has
+    roots or not."""
+    witnesses = [w for k in S if k > 1 for w in _vanishing_cosets(fn, mask, k)]
+    return witnesses, max((w.k for w in witnesses), default=int(mask.any()))
 
 
 class CosetDecomposition(NamedTuple):

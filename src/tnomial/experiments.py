@@ -267,13 +267,18 @@ def _coset_columns(col, valid, kept: np.ndarray, w: int, ell: int) -> np.ndarray
 def _digit_matrix(field: FieldSpec, logs: np.ndarray) -> np.ndarray:
     """Multiplication by each g**logs[r, c] as an F_p-linear map on base-p
     digits: the float64 (k*r, k*c) matrix whose entry [(e, r), (d, c)] is
-    digit e of g**logs[r, c] * y**d.  On F_p it is the values g**logs."""
+    digit e of g**logs[r, c] * y**d.  On F_p it is the values g**logs.
+
+    Each digit e is written straight into its float64 block, so the build
+    holds no integer copy of the whole matrix beside the one it returns."""
     p, k, n = field.p, field.k, field.q - 1
     tables = log_tables(field)
     log_y = tables.log[p ** np.arange(k)].astype(np.int64)  # y**d has label p**d
     labels = tables.exp[(logs[:, None, :] + log_y[:, None]) % n]  # [r, d, c]
-    digits = labels // p ** np.arange(k, dtype=np.int64).reshape(k, 1, 1, 1) % p
-    return digits.reshape(k * len(logs), -1).astype(np.float64)
+    digits = np.empty((k, *labels.shape))
+    for e in range(k):
+        np.remainder(labels // p**e, p, out=digits[e], casting="unsafe")
+    return digits.reshape(k * len(logs), -1)
 
 
 def _unit_transform(field: FieldSpec) -> tuple:

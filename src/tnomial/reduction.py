@@ -31,7 +31,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .cosets import _C_from_mask, compute_C
+from .cosets import _witnesses, compute_C
 from .errors import (
     EmptyInput,
     EmptyRange,
@@ -40,7 +40,7 @@ from .errors import (
     TooFewTerms,
 )
 from .numtheory import gcd_all
-from .params import compute_D, compute_delta, root_bound
+from .params import compute_D, compute_S, compute_delta, root_bound
 from .poly import TNomial, build, count_roots_bruteforce, normalize_lowest, roots_on_units
 
 _SCAN_CHUNK = 1 << 20
@@ -228,7 +228,8 @@ def degree_reduce(f: TNomial) -> ReductionCertificate:
         raise TooFewTerms("degree reduction needs t >= 2")
     fn = normalize_lowest(f)
     mask = roots_on_units(fn)
-    return _degree_reduce(fn, _C_from_mask(fn, mask), int(np.count_nonzero(mask)))
+    C = _witnesses(fn, mask, compute_S(fn))[1]
+    return _degree_reduce(fn, C, int(np.count_nonzero(mask)))
 
 
 def _degree_reduce(fn: TNomial, C: int, direct: int) -> ReductionCertificate:
@@ -236,13 +237,9 @@ def _degree_reduce(fn: TNomial, C: int, direct: int) -> ReductionCertificate:
     F = fn.field
     N = F.q - 1
     exps = fn.exponents[1:]  # nonzero exponents; lowest is 0
-    c_eff = max(C, 1)
-    delta_prime = gcd_all(exps, N)
-    n = min(N // c_eff, N // delta_prime)
-    if n < 2:
-        raise EmptyRange(
-            f"no admissible multiplier range for q={F.q} with C={c_eff}"
-        )
+    # n >= 2: distinct characters are independent, so f is not zero on
+    # every unit and C <= N/2, and delta' <= N/2 divides a nonzero a < N
+    n = min(N // max(C, 1), N // gcd_all(exps, N))
     e, v, M = find_small_multiple(exps, N, n)
     k = gcd(e, N)
     reps = [ea + vi for ea, vi in zip((e * a for a in exps), v)]

@@ -12,7 +12,7 @@ import json
 
 import numpy as np
 
-from .cosets import _decomposition_from_mask, _vanishing_cosets
+from .cosets import _decomposition_from_mask, _witnesses
 from .errors import InternalInvariantError
 from .field import FieldSpec
 from .params import compute_params, within_root_bound
@@ -97,136 +97,127 @@ def analyze(f: TNomial) -> dict:
     counts where feasible, coset structure, reduction certificate, and
     bound verdicts.
 
-    The report builds the root mask of f once (when q-1 <= 2**22) and
-    reads R, C, the vanishing-coset witnesses, the decomposition, the
-    reduction's direct count and bound_C off it; each reduced polynomial
-    of the reduction is scanned on its own.  The gcd oracle runs on f or
-    on the k reduced polynomials h_i, whichever has the smaller sum of
-    squared spans (_gcd_root_count); on the reduced side gcd_degree is
-    sum_i deg gcd(h_i, x**(q-1) - 1) / k.  Where both root counts run, a
-    disagreement, for f or for one h_i, raises InternalInvariantError."""
+    The report is built in one pass, case by case: the parameters (None
+    for t = 1); then, when q-1 > BRUTE_FORCE_LIMIT, the null report with
+    no root count or coset structure; otherwise one root mask of f, from
+    which R, the vanishing-coset witnesses, C and (t >= 2) the reduction
+    are read, each reduced polynomial being scanned on its own; then both
+    root counts and the coset sections, where a t = 1 report ends; and
+    last the decomposition, reduction, bounds and verdicts.  The gcd
+    oracle runs on f or on the k reduced polynomials h_i, whichever has
+    the smaller sum of squared spans (_gcd_root_count); on the reduced
+    side gcd_degree is sum_i deg gcd(h_i, x**(q-1) - 1) / k.  Where both
+    root counts run, a disagreement, for f or for one h_i, raises
+    InternalInvariantError."""
     F = f.field
-    q = F.q
+    q, N, t = F.q, F.q - 1, f.t
     report: dict = {
         "schema_version": SCHEMA_VERSION,
         "field": field_json(F),
         "polynomial": format_tnomial(f),
-        "t": f.t,
+        "t": t,
         "degree": f.degree,
     }
 
-    if f.t >= 2:
+    if t >= 2:
         pr = compute_params(f)
+        S = pr.S
         report["params"] = {
             "delta": pr.delta,
             "D": pr.D,
             "Q": pr.Q,
             "K": pr.K,
-            "S": list(pr.S),
+            "S": list(S),
         }
     else:
+        S = ()
         report["params"] = None
         report["params_note"] = "exponent parameters need at least two terms"
 
-    fn = normalize_lowest(f)
-    mask = roots_on_units(fn) if q - 1 <= BRUTE_FORCE_LIMIT else None
-    r_value = c_value = cert = None
-    if mask is not None:
-        r_value = int(np.count_nonzero(mask))
-        # S(f) holds every size of a vanishing coset, so C is the largest
-        # witnessed k, else 1 or 0 as f has roots or not
-        witnesses = [
-            w
-            for k in (report["params"]["S"] if f.t >= 2 else ())
-            if k > 1
-            for w in _vanishing_cosets(fn, mask, k)
-        ]
-        c_value = max((w.k for w in witnesses), default=int(mask.any()))
-        if f.t >= 2:
-            cert = _degree_reduce(fn, c_value, r_value)
+    if N > BRUTE_FORCE_LIMIT:
+        # GCD_LIMIT < BRUTE_FORCE_LIMIT, so neither root count runs
+        report["roots"] = {
+            "bruteforce": None,
+            "bruteforce_note": "unit group too large for the direct scan",
+            "gcd_degree": None,
+            "gcd_note": "field too large for the gcd-based count",
+        }
+        report.update(
+            C=None,
+            C_note="unit group too large to certify coset structure",
+            vanishing_cosets=None,
+            decomposition=None,
+            reduction=None,
+            bounds=None,
+            verdicts={},
+        )
+        return report
 
-    roots: dict = {}
-    if mask is not None:
-        roots["bruteforce"] = r_value
-    else:
-        roots["bruteforce"] = None
-        roots["bruteforce_note"] = "unit group too large for the direct scan"
+    fn = normalize_lowest(f)
+    mask = roots_on_units(fn)
+    R = int(np.count_nonzero(mask))
+    witnesses, C = _witnesses(fn, mask, S)
+    cert = _degree_reduce(fn, C, R) if t >= 2 else None
+
+    roots: dict = {"bruteforce": R}
     if q <= GCD_LIMIT and (F.k == 1 or q <= GCD_GENERIC_LIMIT):
-        # q <= GCD_LIMIT < BRUTE_FORCE_LIMIT, so the scan has run
         roots["gcd_degree"] = _gcd_root_count(fn, cert)
-        if roots["gcd_degree"] != r_value:
+        if roots["gcd_degree"] != R:
             raise InternalInvariantError(
-                f"the scan counts {r_value} roots and the gcd oracle {roots['gcd_degree']}"
+                f"the scan counts {R} roots and the gcd oracle {roots['gcd_degree']}"
             )
     else:
         roots["gcd_degree"] = None
         roots["gcd_note"] = "field too large for the gcd-based count"
     report["roots"] = roots
 
-    if mask is not None:
-        report["C"] = c_value
-        if c_value == 0:
-            report["C_note"] = "no nonzero roots at all"
-        elif c_value == 1:
-            report["C_note"] = "roots exist but no full coset of size > 1 vanishes"
-        else:
-            report["C_note"] = None
-        report["vanishing_cosets"] = [
-            {
-                "k": w.k,
-                "beta": element_json(F, w.beta),
-                "representative": element_json(F, w.representative),
-            }
-            for w in witnesses
-        ]
-    else:
-        report["C"] = None
-        report["C_note"] = "unit group too large to certify coset structure"
-        report["vanishing_cosets"] = None
+    report["C"] = C
+    report["C_note"] = {
+        0: "no nonzero roots at all",
+        1: "roots exist but no full coset of size > 1 vanishes",
+    }.get(C)
+    report["vanishing_cosets"] = [
+        {
+            "k": w.k,
+            "beta": element_json(F, w.beta),
+            "representative": element_json(F, w.representative),
+        }
+        for w in witnesses
+    ]
+    if t == 1:
+        report.update(decomposition=None, reduction=None, bounds=None, verdicts={})
+        return report
 
-    if cert is not None:
-        dec = _decomposition_from_mask(fn, mask)
-        report["decomposition"] = {
-            "delta": dec.delta,
-            "coset_count": dec.coset_count,
-            "bound": dec.bound,
-        }
-        report["reduction"] = {
-            "n": cert.n,
-            "e": cert.e,
-            "v": list(cert.v),
-            "M": cert.M,
-            "k": cert.k,
-            "coset_split": cert.coset_split,
-            "reduced": [format_tnomial(h) for h in cert.reduced_polys],
-            "root_accounting": list(cert.root_accounting),
-            "root_count": cert.root_count,
-        }
-    else:
-        report["decomposition"] = None
-        report["reduction"] = None
-
-    if f.t >= 2 and c_value is not None:
-        cb = _bound_from_C(f, c_value)
-        bd = bound_from_D(f)
-        report["bounds"] = {
-            "bound_C": cb.bound_C,
-            "bound_delta": cb.bound_delta,
-            "bound_D": bd,
-        }
-        # c_value and r_value both come from the mask
-        N, t = q - 1, f.t
-        report["verdicts"] = {
-            "R_le_bound_C": within_root_bound(r_value, N, t, max(c_value, 1)),
-            "R_le_bound_D": within_root_bound(r_value, N, t, pr.D),
-            "R_le_bound_delta": (
-                None if cb.bound_delta is None else within_root_bound(r_value, N, t, dec.delta)
-            ),
-        }
-    else:
-        report["bounds"] = None
-        report["verdicts"] = {}
-
+    dec = _decomposition_from_mask(fn, mask)
+    report["decomposition"] = {
+        "delta": dec.delta,
+        "coset_count": dec.coset_count,
+        "bound": dec.bound,
+    }
+    report["reduction"] = {
+        "n": cert.n,
+        "e": cert.e,
+        "v": list(cert.v),
+        "M": cert.M,
+        "k": cert.k,
+        "coset_split": cert.coset_split,
+        "reduced": [format_tnomial(h) for h in cert.reduced_polys],
+        "root_accounting": list(cert.root_accounting),
+        "root_count": cert.root_count,
+    }
+    cb = _bound_from_C(f, C)
+    report["bounds"] = {
+        "bound_C": cb.bound_C,
+        "bound_delta": cb.bound_delta,
+        "bound_D": bound_from_D(f),
+    }
+    report["verdicts"] = {
+        "R_le_bound_C": within_root_bound(R, N, t, max(C, 1)),
+        "R_le_bound_D": within_root_bound(R, N, t, pr.D),
+        "R_le_bound_delta": (
+            None if cb.bound_delta is None else within_root_bound(R, N, t, dec.delta)
+        ),
+    }
     return report
 
 

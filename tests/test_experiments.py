@@ -574,6 +574,19 @@ def test_sampler_memory_at_f4096_holds_no_dense_table():
     assert est.estimate == 0.0
 
 
+def test_unit_transform_peak_stays_near_its_tables():
+    # each digit goes straight into its float64 block: the build holds no
+    # integer copy of W2 (k*n2 = 11*89 rows and columns here) beside it
+    F = make_extension_field(2, 11)
+    tracemalloc.start()
+    try:
+        tables = _unit_transform(F)[:3]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.25 * sum(t.nbytes for t in tables)
+
+
 # -- distribution tables ------------------------------------------------------
 
 

@@ -8,7 +8,7 @@ import tnomial.cli as cli
 import tnomial.report as report
 from tnomial import poly
 from tnomial.errors import InternalInvariantError
-from tnomial.cosets import _vanishing_cosets
+from tnomial.cosets import _vanishing_cosets, compute_C
 from tnomial.experiments import compute_max_R, conjecture_table
 from tnomial.field import make_extension_field, make_prime_field
 from tnomial.poly import build, normalize_lowest, parse_tnomial
@@ -299,7 +299,8 @@ def test_analyze_builds_one_root_mask_per_report(monkeypatch):
 
 
 def test_analyze_searches_each_coset_size_once(monkeypatch):
-    """C is read off the witness list: one coset search per k in S, k > 1."""
+    """C is read off the witness list, by analyze and compute_C alike: one
+    coset search per k in S, k > 1, with no early exit at the largest k."""
     calls = []
 
     def counted(fn, mask, k):
@@ -307,7 +308,6 @@ def test_analyze_searches_each_coset_size_once(monkeypatch):
         return _vanishing_cosets(fn, mask, k)
 
     monkeypatch.setattr("tnomial.cosets._vanishing_cosets", counted)
-    monkeypatch.setattr("tnomial.report._vanishing_cosets", counted)
     E = make_extension_field(3, 2)
     for f, C in [
         (parse_tnomial(make_prime_field(13), "1 + x^4 + x^8"), 4),
@@ -318,8 +318,12 @@ def test_analyze_searches_each_coset_size_once(monkeypatch):
     ]:
         calls.clear()
         rep = analyze(f)
-        assert calls == [k for k in rep["params"]["S"] if k > 1], f
+        searched = [k for k in rep["params"]["S"] if k > 1]
+        assert calls == searched, f
         assert rep["C"] == C, f
+        calls.clear()
+        assert compute_C(f) == C, f
+        assert calls == searched, f
 
 
 def test_report_verdict_failures():
