@@ -18,11 +18,13 @@ outer sum of two progressions about sqrt(q-1) long, and the units where
 a partial sum cancels are kept as a sparse index array.  The root count,
 the vanishing cosets and the coset decomposition are read off its mask.
 
-The gcd oracle trusts none of those tables.  It raises x to the power q-1
-mod f from the bits of q-1: the prefixes below deg f give monomials, one
-division by the Newton inverse of the reversed f reduces the next, and
-only the bits after it square, each square (times x for a set bit)
-reduced by one step of the same division.  Products are exact mod p:
+The gcd oracle trusts none of those tables.  It writes f = H(x**d) with
+d = gcd(exponents, q-1), so that the count is d times that of H on the
+subgroup of order n = (q-1)/d, and raises y to the power n mod H from the
+bits of n: the prefixes below deg H give monomials, one division by the
+Newton inverse of the reversed H reduces the next, and only the bits
+after it square, each square (times y for a set bit) reduced by one step
+of the same division.  Products are exact mod p:
 np.convolve on short vectors, float64 FFTs on long ones, each vector
 split into the fewest limbs that an a-priori rounding bound allows (one
 limb for every oracle product with p < 2**14, two for the longest ones
@@ -40,7 +42,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from math import isqrt, prod, sqrt
+from math import gcd, isqrt, prod, sqrt
 from typing import NamedTuple
 
 import numpy as np
@@ -285,7 +287,7 @@ def roots_on_units(f: TNomial) -> np.ndarray:
     return root_mask(F, f.exponents, log[[F.element_to_int(c) for c in f.coefficients]])
 
 
-# -- gcd oracle: x**(q-1) mod f by exact products ----------------------------
+# -- gcd oracle: y**((q-1)/d) mod H by exact products ------------------------
 #
 # The oracle holds a polynomial over F_{p^k} as an (L, k) int64 array of
 # base-p digit rows, row i the coefficient of x**i (k = 1 for a prime
@@ -303,11 +305,12 @@ FFT_MIN_LENGTH = 512
 
 
 def count_roots_gcd(f: TNomial) -> int:
-    """Number of distinct nonzero roots as deg gcd(f, x**(q-1) - 1).
+    """Number of distinct nonzero roots as d * deg gcd(H, y**n - 1), where
+    f = H(x**d) after normalize_lowest, d = gcd(exponents, q-1), n = (q-1)/d:
+    the roots of y**n - 1 are the d-th powers of the units, d units each.
 
-    Gets x**(q-1) mod f from _x_power_mod, then runs the dense Euclid
-    _gcd_degree, the same for every field.  Products are exact
-    (_convolve_mod_p), on Kronecker-packed digit rows for F_{p^k}.
+    Gets y**n mod H from _x_power_mod, then runs the dense Euclid
+    _gcd_degree, the same for every field, on exact products.
     Independent of the scan counter: over F_{p^k} the Euclid takes the
     powers of g from the scan's exp table only after checking each one
     with the oracle's own multiplication, and raises
@@ -318,13 +321,17 @@ def count_roots_gcd(f: TNomial) -> int:
     if F.q > GCD_LIMIT:
         raise FieldTooLarge(f"field size {F.q} exceeds gcd-count limit {GCD_LIMIT}")
     f = normalize_lowest(f)  # gcd(x, x**(q-1) - 1) = 1, so this is free
-    d = f.degree
-    if d <= 1:
-        # a nonzero constant has no root; c1*x + c0 with c0 != 0 has one
-        return d
-    cur = _x_power_mod(f, F.q - 1)
-    cur[0, 0] = (cur[0, 0] - 1) % F.p  # x**(q-1) - 1 reduced mod f
-    return _gcd_degree(F, _dense_rows(f), cur)
+    d = gcd(F.q - 1, *f.exponents)
+    n = (F.q - 1) // d
+    h = TNomial(field=F, terms=tuple((a // d, c) for a, c in f.terms))
+    if h.degree == 0:
+        return 0  # a nonzero constant
+    if h.degree == 1:  # c1*y + c0 counts its root -c0/c1 if (-c0)**n = c1**n
+        (_, c0), (_, c1) = h.terms
+        return d * (F.pow(F.neg(c0), n) == F.pow(c1, n))
+    cur = _x_power_mod(h, n)
+    cur[0, 0] = (cur[0, 0] - 1) % F.p  # y**n - 1 reduced mod h
+    return d * _gcd_degree(F, _dense_rows(h), cur)
 
 
 def _x_power_mod(f: TNomial, exponent: int) -> np.ndarray:

@@ -103,12 +103,10 @@ def analyze(f: TNomial) -> dict:
     which R, the vanishing-coset witnesses, C and (t >= 2) the reduction
     are read, each reduced polynomial being scanned on its own; then both
     root counts and the coset sections, where a t = 1 report ends; and
-    last the decomposition, reduction, bounds and verdicts.  The gcd
-    oracle runs on f or on the k reduced polynomials h_i, whichever has
-    the smaller sum of squared spans (_gcd_root_count); on the reduced
-    side gcd_degree is sum_i deg gcd(h_i, x**(q-1) - 1) / k.  Where both
-    root counts run, a disagreement, for f or for one h_i, raises
-    InternalInvariantError."""
+    last the decomposition, reduction, bounds and verdicts.  For t >= 2
+    the gcd oracle runs on the k reduced polynomials h_i and gcd_degree
+    is their count over k (_gcd_root_count).  Where both root counts run,
+    a disagreement, for f or for one h_i, raises InternalInvariantError."""
     F = f.field
     q, N, t = F.q, F.q - 1, f.t
     report: dict = {
@@ -222,16 +220,11 @@ def analyze(f: TNomial) -> dict:
 
 
 def _gcd_root_count(fn: TNomial, cert) -> int:
-    """R(fn) by the gcd oracle, on fn or on the reduced polynomials of cert.
-
-    The oracle's Euclid is quadratic in the span (degree after
-    normalize_lowest) of its input, so it runs on the h_i when the sum of
-    their squared spans is below fn's squared span, and on fn otherwise
-    or when there is no reduction.  On the reduced side each count must
-    equal the scan's count for its h_i, and the counts sum to k * R(fn)."""
-    if cert is None or (
-        sum(normalize_lowest(h).degree ** 2 for h in cert.reduced_polys) >= fn.degree**2
-    ):
+    """R(fn) by the gcd oracle: on fn when there is no reduction (t = 1),
+    else on each reduced polynomial h_i = H_i(x**k), at degree deg H_i
+    (count_roots_gcd).  Each count must equal the scan's count for its
+    h_i, and the counts sum to k * R(fn)."""
+    if cert is None:
         return count_roots_gcd(fn)
     counts = [count_roots_gcd(h) for h in cert.reduced_polys]
     for i, (got, scanned) in enumerate(zip(counts, cert.root_accounting)):

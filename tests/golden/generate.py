@@ -38,6 +38,8 @@ CASES = [
     ("analyze_p101_t5", ["analyze", "--p", "101", "7*x^90 + x^45 + 3*x^20 + 50*x^7 + 2"]),
     ("analyze_p257_t6", ["analyze", "--p", "257", "x^200 + 5*x^128 + 9*x^64 + 3*x^33 + 100*x + 1"]),
     ("analyze_p4093_t6", ["analyze", "--p", "4093", "x^4000 + 17*x^2046 + 3*x^1023 + x^99 + 2*x^5 + 1"]),
+    # k = 286: every reduced H_i in y = x^k is linear or constant
+    ("analyze_p6007_large_k", ["analyze", "--p", "6007", "5719 + 4740*x^1596 + 5629*x^5792 + 2133*x^5876"]),
     ("analyze_p65537_t3", ["analyze", "--p", "65537", "x^5 + 3*x^2 + 1"]),
     ("analyze_p4194319_null", ["analyze", "--p", "4194319", "x^5 + 3*x^2 + 1"]),
     # -- analyze over extension fields, t = 1..6 -----------------------------

@@ -343,13 +343,52 @@ def test_count_roots_gcd_squares_only_the_bits_above_the_degree(monkeypatch):
         n = F.q - 1
         for d, squares in [(n // 2 + 1, False), (n - 1, False), (n // 4, True), (n // 8, True)]:
             calls.update(products=0, squares=0, inverse=False, terms=None)
-            f = build(F, [(0, F.one), (d // 3, F.one), (d, F.neg(F.one))])
+            f = build(F, [(0, F.one), (1, F.one), (d, F.neg(F.one))])  # delta' = 1
             assert count_roots_gcd(f) == count_roots_bruteforce(f)
             assert (calls["squares"] > 0) == squares, (F.q, d, calls)
             if squares:
                 assert calls["terms"] == d, (F.q, d, calls)
             else:
                 assert (calls["products"], calls["terms"]) == (0, n - d + 1), (F.q, d, calls)
+
+
+@pytest.mark.parametrize(
+    "F, text, degree, exponent",
+    [
+        (make_prime_field(13), "1 + 2*x^4 + x^8", 2, 3),
+        (make_prime_field(13), "3 + x + 5*x^7", 7, 12),
+        (make_prime_field(2003), "1 + 3*x^14 + 9*x^84 + x^98", 7, 143),
+        (make_prime_field(2003), "5*x^30 + x^52 + 7*x^1130", 50, 91),
+        (make_extension_field(3, 4), "[0,1] + x^10 + [1,2]*x^30", 3, 8),
+    ],
+)
+def test_count_roots_gcd_powers_in_x_to_the_exponent_gcd(monkeypatch, F, text, degree, exponent):
+    # f = H(x**d) with d = gcd(exponents after normalize_lowest, q - 1): the
+    # powering runs on H, of degree deg f / d, to the exponent (q - 1)/d
+    seen = []
+    real = poly._x_power_mod
+
+    def spy(h, m):
+        seen.append((h.degree, m))
+        return real(h, m)
+
+    monkeypatch.setattr(poly, "_x_power_mod", spy)
+    f = parse_tnomial(F, text)
+    assert count_roots_gcd(f) == count_roots_bruteforce(f)
+    assert seen == [(degree, exponent)]
+
+
+def test_count_roots_gcd_of_a_linear_polynomial_in_x_to_the_d():
+    # 1 + c*x**4 = H(x**d) with H linear over F_13 (d = 4) and F_9 (d = 4),
+    # its root -1/c inside the subgroup of order (q - 1)/d or outside; over
+    # F_16 gcd(4, 15) = 1 and the powering runs on f itself
+    for F in (F13, make_extension_field(3, 2), make_extension_field(2, 4)):
+        counts = []
+        for c in range(1, F.q):
+            f = build(F, [(0, F.one), (4, F.element_from_int(c))])
+            counts.append(count_roots_gcd(f))
+            assert counts[-1] == count_roots_bruteforce(f), (F.q, c)
+        assert set(counts) == ({1} if F.q == 16 else {0, 4}), F.q
 
 
 def test_gcd_degree_refuses_int64_overflow():

@@ -230,17 +230,17 @@ def test_analyze_keeps_the_oracle_within_2M_on_a_high_degree_f(monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "p, text, side",
+    "p, text",
     [
-        (7, "6 + x^3", "f"),  # h_0 = 1 + 6*x^3: a tie goes to f
-        (13, "12 + x + 3*x^5", "f"),  # k = 2, spans 4 and 4: 32 >= 25
-        (31, "23 + 30*x^9", "h"),  # k = 3, spans 3 each: sum 9 = span(f), squares 27 < 81
-        (61, "47*x^20 + 3*x^36", "h"),  # k = 4, degrees 8 but spans 4: 64 < 256 = 4 * 8^2
+        (7, "6 + x^3"),  # k = 1: h_0 = 1 + 6*x^3 spans as much as f
+        (13, "12 + x + 3*x^5"),  # k = 2, spans 4 and 4, f spans 5
+        (31, "23 + 30*x^9"),  # k = 3, spans 3 each
+        (61, "47*x^20 + 3*x^36"),  # k = 4, degrees 8 but spans 4
     ],
 )
-def test_analyze_runs_the_oracle_on_the_side_of_smaller_squared_spans(monkeypatch, p, text, side):
+def test_analyze_runs_the_oracle_on_the_reduced_polynomials(monkeypatch, p, text):
     f = parse_tnomial(make_prime_field(p), text)
-    inputs = [f] if side == "f" else degree_reduce(f).reduced_polys
+    inputs = degree_reduce(f).reduced_polys
     rep, seen = _oracle_inputs(monkeypatch, f)
     assert [g.terms for g in seen] == [normalize_lowest(g).terms for g in inputs]
     assert rep["roots"]["gcd_degree"] == rep["roots"]["bruteforce"] > 0
